@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -261,29 +262,58 @@ def _run_cell_task(task) -> CellResult:
 
 
 def read_results_csv(path) -> list[CellResult]:
-    """Parse a raw results file back into :class:`CellResult` rows."""
+    """Parse a raw results file back into :class:`CellResult` rows.
+
+    Raises ValueError naming the file and line of any malformed row.
+    """
     out: list[CellResult] = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != RESULTS_HEADER.split(","):
             raise ValueError(f"unexpected results header in {path}: {reader.fieldnames}")
         for r in reader:
-            out.append(
-                CellResult(
-                    policy=r["policy"],
-                    distribution=r["distribution"],
-                    n=int(r["n"]),
-                    run=int(r["run"]),
-                    seed=int(r["seed"]),
-                    min_delay_mean_s=float(r["min_delay_mean_s"]) if r["min_delay_mean_s"] else None,
-                    tree_delay_mean_s=float(r["tree_delay_mean_s"]) if r["tree_delay_mean_s"] else None,
-                    mean_node_vuln=float(r["mean_node_vuln"]) if r["mean_node_vuln"] else None,
-                    max_sys_vuln=float(r["max_sys_vuln"]) if r["max_sys_vuln"] else None,
-                    build_ms=int(r["build_ms"]),
-                    failed=r["failed"] == "1",
+            try:
+                if None in r or None in r.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                if r["failed"] not in ("0", "1"):
+                    raise ValueError(f"failed flag {r['failed']!r} is neither 0 nor 1")
+                out.append(
+                    CellResult(
+                        policy=r["policy"],
+                        distribution=r["distribution"],
+                        n=int(r["n"]),
+                        run=int(r["run"]),
+                        seed=int(r["seed"]),
+                        min_delay_mean_s=float(r["min_delay_mean_s"]) if r["min_delay_mean_s"] else None,
+                        tree_delay_mean_s=float(r["tree_delay_mean_s"]) if r["tree_delay_mean_s"] else None,
+                        mean_node_vuln=float(r["mean_node_vuln"]) if r["mean_node_vuln"] else None,
+                        max_sys_vuln=float(r["max_sys_vuln"]) if r["max_sys_vuln"] else None,
+                        build_ms=int(r["build_ms"]),
+                        failed=r["failed"] == "1",
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"malformed row in {path}, line {reader.line_num}: {exc}") from None
     return out
+
+
+def _drop_torn_tail(path) -> None:
+    """Cut a last line that lacks its newline (a write cut short by a crash),
+    so that resuming appends whole rows only."""
+    with open(path, "rb+") as f:
+        if f.seek(0, os.SEEK_END) == 0:
+            return
+        f.seek(-1, os.SEEK_END)
+        if f.read(1) == b"\n":
+            return
+        f.seek(0)
+        data = f.read()
+        keep = data.rfind(b"\n") + 1
+        f.truncate(keep)
+    warnings.warn(
+        f"{path}: dropped {len(data) - keep} bytes of a torn last row before resuming",
+        stacklevel=3,
+    )
 
 
 def run_experiment(
@@ -295,7 +325,9 @@ def run_experiment(
     """Run every cell of the grid, streaming rows into ``out_dir/results.csv``.
 
     Cells already present in the file are skipped (resume semantics), so
-    re-running a finished experiment leaves the raw file byte-identical.
+    re-running a finished experiment leaves the raw file byte-identical. A
+    torn last row (no trailing newline) is dropped with a warning and its
+    cell is run again.
     ``parallel`` > 1 distributes cells over worker processes; results are
     written in canonical order either way, so parallelism changes wall time
     only. Returns all cell results plus the aggregate rows, which are also
@@ -306,6 +338,8 @@ def run_experiment(
 
     done: set[tuple[str, str, int, int]] = set()
     if os.path.exists(results_path):
+        _drop_torn_tail(results_path)
+    if os.path.exists(results_path) and os.path.getsize(results_path):
         done = {r.key() for r in read_results_csv(results_path)}
         mode = "a"
     else:

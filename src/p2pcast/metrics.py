@@ -21,7 +21,9 @@ predecessor id among strictly-closer candidates, so reports are reproducible
 bit for bit.
 
 Feasibility checking is independent of the builder's bookkeeping: it recounts
-multiplicities and runs a max-flow (min-cut) test per peer.
+multiplicities and runs a max-flow (min-cut) test on each peer that lies on a
+directed cycle, which is where a cut can fall short; a built (acyclic)
+topology needs no max-flow at all.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .delay_space import DelaySpace
 from .topology import CapacityProfile, Topology
@@ -376,6 +378,16 @@ def max_flow(topology: Topology, sink: int, source: int = 0) -> int:
     return int(maximum_flow(graph, source, sink).flow_value)
 
 
+def _cycle_nodes(graph: csr_matrix) -> list[int]:
+    """Ids, in increasing order, of the peers on a directed cycle that avoids
+    node 0: members of a strongly connected component of two or more peers,
+    and peers with a self-loop."""
+    peers = graph[1:, 1:]
+    _, labels = connected_components(peers, directed=True, connection="strong")
+    on_cycle = (np.bincount(labels)[labels] > 1) | (peers.diagonal() != 0)
+    return (np.flatnonzero(on_cycle) + 1).tolist()
+
+
 def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> FeasibilityReport:
     """Check the three feasibility requirements from scratch.
 
@@ -384,7 +396,13 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
     3. ``m`` edge-disjoint paths exist from the peercaster to every peer
        (max-flow with multiplicities as capacities is at least ``m``).
 
-    Stops at the first violation and reports which requirement failed.
+    Given requirement 1, max-flow runs only on peers on a directed cycle
+    avoiding node 0: every node of a sink side S that fewer than ``m`` units
+    enter has an in-edge from inside S, so S holds such a cycle, and every
+    node of S, the cycle's included, has max-flow below ``m``.
+
+    Stops at the first violation and reports which requirement failed; a
+    requirement-3 failure names the lowest-id peer short of ``m`` paths.
     """
     n = topology.n_nodes
     if caps.n_nodes != n:
@@ -413,12 +431,20 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
         np.array([topology.edges[k] for k in items], dtype=np.int64), m
     )
     graph = _flow_graph(topology, clipped)
-    for i in range(1, n):
-        flow = int(maximum_flow(graph, 0, i).flow_value)
-        if flow < m:
-            return FeasibilityReport(
-                False, 3,
-                f"requirement 3 violated: only {flow} edge-disjoint peercaster paths "
-                f"reach node {i}, expected {m}",
-            )
-    return FeasibilityReport(True)
+    flows: dict[int, int] = {}
+
+    def flow_to(i: int) -> int:
+        if i not in flows:
+            flows[i] = int(maximum_flow(graph, 0, i).flow_value)
+        return flows[i]
+
+    short = next((i for i in _cycle_nodes(graph) if flow_to(i) < m), None)
+    if short is None:
+        return FeasibilityReport(True)
+    # The lowest-id peer short of m paths is at or below ``short``.
+    i = next(i for i in range(1, short + 1) if flow_to(i) < m)
+    return FeasibilityReport(
+        False, 3,
+        f"requirement 3 violated: only {flow_to(i)} edge-disjoint peercaster paths "
+        f"reach node {i}, expected {m}",
+    )

@@ -9,7 +9,7 @@ ones.
 
 Label conventions used across the package:
 
-=====================  =========================================consumers====
+=====================  =======================================================
 labels                 consumer
 =====================  =======================================================
 ("delay_space",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from p2pcast.harness import (
     AGG_HEADER,
     DEFAULT_GRID_SIZES,
+    METRIC_COLUMNS,
     RESULTS_HEADER,
     AggregateRow,
     CellResult,
@@ -299,6 +301,44 @@ def test_run_experiment_resumes_partial_file(tmp_path):
     kept, redone = resumed[:5], resumed[5:]
     assert [r.csv_row() for r in kept] == [r.csv_row() for r in results[:5]]
     assert all(not r.failed for r in redone)
+
+
+def test_run_experiment_recovers_torn_last_row(tmp_path):
+    def keys_and_metrics(rows):
+        return [(r.key(), *(getattr(r, c) for c in METRIC_COLUMNS), r.failed) for r in rows]
+
+    whole, _ = run_experiment(TINY, tmp_path / "whole")
+    out = tmp_path / "cut"
+    run_experiment(TINY, out)
+    path = out / "results.csv"
+    raw = path.read_bytes()
+    cut = raw[:-20]  # a crash in the middle of writing the last row
+    torn = len(cut) - (cut.rfind(b"\n") + 1)
+    path.write_bytes(cut)
+    with pytest.warns(UserWarning, match=rf"results\.csv: dropped {torn} bytes of a torn last row"):
+        resumed, _ = run_experiment(TINY, out)
+    assert keys_and_metrics(resumed) == keys_and_metrics(whole)
+    assert strip_build_ms(path) == strip_build_ms(tmp_path / "whole" / "results.csv")
+    assert (out / "agg.csv").read_bytes() == (tmp_path / "whole" / "agg.csv").read_bytes()
+
+
+def test_read_results_csv_names_malformed_row(tmp_path):
+    out = tmp_path / "exp"
+    run_experiment(TINY, out)
+    path = out / "results.csv"
+    lines = path.read_text().splitlines()
+    cols = lines[3].split(",")
+    for bad in (
+        cols[:-1],  # a field missing
+        cols + ["extra"],
+        cols[:2] + ["ten"] + cols[3:],  # n is not an integer
+        cols[:-1] + ["x"],  # failed flag is neither 0 nor 1
+    ):
+        path.write_text("\n".join(lines[:3] + [",".join(bad)] + lines[4:]) + "\n")
+        with pytest.raises(ValueError, match=rf"malformed row in {re.escape(str(path))}, line 4"):
+            read_results_csv(path)
+        with pytest.raises(ValueError, match="line 4"):
+            run_experiment(TINY, out)
 
 
 def test_run_experiment_fresh_dirs_agree(tmp_path):

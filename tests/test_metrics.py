@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import p2pcast.metrics
 from p2pcast import (
     CapacityProfile,
     DelaySpace,
@@ -288,6 +289,134 @@ def test_verify_checks_requirements_in_order():
     t = topo(3, {(1, 2): 3, (2, 1): 4})
     report = verify_feasible(t, CapacityProfile(np.array([16, 4, 4])), 4)
     assert report.requirement == 1
+
+
+def random_multigraph(rng, n, m):
+    """Every peer draws exactly m units from uploaders anywhere in the graph,
+    itself included (a self-loop), so cycles are common; some graphs also get
+    edges into the peercaster. Half of the graphs draw only from lower ids or
+    the peercaster, which keeps feasible inputs frequent."""
+    acyclic_bias = rng.random() < 0.5
+    edges: dict[tuple[int, int], int] = {}
+    for v in range(1, n):
+        for _ in range(m):
+            if acyclic_bias and rng.random() < 0.85:
+                u = int(rng.integers(0, v))
+            else:
+                u = int(rng.integers(0, n))
+            edges[(u, v)] = edges.get((u, v), 0) + 1
+    if rng.random() < 0.3:
+        u = int(rng.integers(1, n))
+        edges[(u, 0)] = int(rng.integers(1, m + 1))
+    return topo(n, edges)
+
+
+def scan_report(t, m):
+    """Requirement 3 as an exhaustive per-peer max-flow scan in id order."""
+    for i in range(1, t.n_nodes):
+        flow = max_flow(t, i)
+        if flow < m:
+            return (
+                False, 3,
+                f"requirement 3 violated: only {flow} edge-disjoint peercaster paths "
+                f"reach node {i}, expected {m}",
+            )
+    return (True, None, "feasible")
+
+
+def cycle_nodes(t):
+    """Peers that can reach themselves without passing through node 0."""
+    out: dict[int, set[int]] = {}
+    for (u, v), c in t.edges.items():
+        if c and u and v:
+            out.setdefault(u, set()).add(v)
+    on_cycle = set()
+    for s in range(1, t.n_nodes):
+        seen, stack = set(), list(out.get(s, ()))
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(out.get(v, ()))
+        if s in seen:
+            on_cycle.add(s)
+    return sorted(on_cycle)
+
+
+def test_verify_matches_min_cut_enumeration_on_random_multigraphs():
+    rng = np.random.default_rng(2013)
+    seen = {"feasible": 0, "infeasible": 0, "cyclic_feasible": 0}
+    for _ in range(1500):
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, 6))
+        t = random_multigraph(rng, n, m)
+        caps = CapacityProfile(np.full(n, n * m, dtype=np.int64))
+        report = verify_feasible(t, caps, m)
+        assert report.ok == all(brute_min_cut(t, v) >= m for v in range(1, n))
+        assert (report.ok, report.requirement, report.message) == scan_report(t, m)
+        if report.ok:
+            seen["feasible"] += 1
+            seen["cyclic_feasible"] += bool(cycle_nodes(t))
+        else:
+            seen["infeasible"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.fixture
+def flow_sinks(monkeypatch):
+    """Sinks of every maximum_flow call verify_feasible makes."""
+    sinks: list[int] = []
+    original = p2pcast.metrics.maximum_flow
+
+    def counting(graph, source, sink):
+        sinks.append(int(sink))
+        return original(graph, source, sink)
+
+    monkeypatch.setattr(p2pcast.metrics, "maximum_flow", counting)
+    return sinks
+
+
+def test_verify_built_topology_runs_no_max_flow(flow_sinks):
+    res = random_feasible(4, 200)
+    assert res is not None
+    _, caps, t = res
+    assert verify_feasible(t, caps, 4).ok
+    assert flow_sinks == []
+
+
+def test_verify_cyclic_input_runs_max_flow_only_on_cycle_nodes(flow_sinks):
+    # Peers 2 and 3 feed each other; peer 1 and peer 4 are off the cycle.
+    hand = topo(5, {(0, 1): 4, (0, 2): 3, (3, 2): 1, (0, 3): 2, (1, 3): 1, (2, 3): 1,
+                    (1, 4): 2, (3, 4): 2})
+    caps = CapacityProfile(np.full(5, 16))
+    assert verify_feasible(hand, caps, 4).ok
+    assert flow_sinks == [2, 3]
+
+    # A built topology with one unit of peer x moved onto x's child y: y -> x
+    # closes a cycle, and the rewired input stays feasible.
+    res = random_feasible(6, 60)
+    assert res is not None
+    _, caps, t = res
+    out_mult = t.out_multiplicity()
+    checked = 0
+    for (x, y) in sorted(t.edges):
+        if x == 0 or (y, x) in t.edges or out_mult[y] >= caps.u[y]:
+            continue
+        edges = dict(t.edges)
+        p = min(j for (j, i) in t.edges if i == x)
+        edges[(p, x)] -= 1
+        if not edges[(p, x)]:
+            del edges[(p, x)]
+        edges[(y, x)] = 1
+        rewired = topo(t.n_nodes, edges)
+        if scan_report(rewired, 4)[0]:
+            flow_sinks.clear()
+            assert verify_feasible(rewired, caps, 4).ok
+            assert cycle_nodes(rewired) and flow_sinks == cycle_nodes(rewired)
+            checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
 
 
 def test_metrics_are_deterministic():
