@@ -59,9 +59,13 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results, _ = harness.run_experiment(
-        config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
-    )
+    try:
+        results, _ = harness.run_experiment(
+            config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
+        )
+    except ValueError as exc:  # e.g. a results.csv that cannot be resumed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = sum(r.failed for r in results)
     print(
         f"{len(results)} cells in {os.path.join(args.out, 'results.csv')} "

@@ -327,7 +327,9 @@ def run_experiment(
     Cells already present in the file are skipped (resume semantics), so
     re-running a finished experiment leaves the raw file byte-identical. A
     torn last row (no trailing newline) is dropped with a warning and its
-    cell is run again.
+    cell is run again. A row whose seed is not the one ``config.master_seed``
+    derives for its cell raises ValueError naming the file, the cell and
+    both seeds.
     ``parallel`` > 1 distributes cells over worker processes; results are
     written in canonical order either way, so parallelism changes wall time
     only. Returns all cell results plus the aggregate rows, which are also
@@ -340,7 +342,16 @@ def run_experiment(
     if os.path.exists(results_path):
         _drop_torn_tail(results_path)
     if os.path.exists(results_path) and os.path.getsize(results_path):
-        done = {r.key() for r in read_results_csv(results_path)}
+        for r in read_results_csv(results_path):
+            expected = cell_seed(config.master_seed, *r.key())
+            if r.seed != expected:
+                raise ValueError(
+                    f"{results_path}: cell {r.policy}/{r.distribution}/n={r.n}/run={r.run} "
+                    f"has seed {r.seed}, but master seed {config.master_seed} gives "
+                    f"{expected}; resume with the same master seed or use a new output "
+                    f"directory"
+                )
+            done.add(r.key())
         mode = "a"
     else:
         mode = "w"

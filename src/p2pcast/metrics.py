@@ -14,11 +14,14 @@ All four metrics read a topology together with its delay space:
 * system vulnerability S_v — the total number of (node, connection) paths in
   the whole system that pass through v; reported as max_v S_v / (N * M).
 
-Realized paths come from a deterministic shortest-path tree: the k-th
-substream path of node i is the realized shortest path to its k-th uploader j
-plus the final hop (j, i). Ties in the tree are broken toward the lowest
-predecessor id among strictly-closer candidates, so reports are reproducible
-bit for bit.
+Shortest paths come from ``scipy.sparse.csgraph.dijkstra`` over the edges in
+their canonical order (:meth:`Topology.edge_arrays`). Realized paths come
+from a deterministic shortest-path tree: the k-th substream path of node i is
+the realized shortest path to its k-th uploader j plus the final hop (j, i).
+Ties in the tree are broken toward the lowest predecessor id among
+strictly-closer candidates, so reports are reproducible bit for bit. Only a
+node reached solely over zero-delay ties (coincident nodes) keeps the
+predecessor of scipy's traversal order.
 
 Feasibility checking is independent of the builder's bookkeeping: it recounts
 multiplicities and runs a max-flow (min-cut) test on each peer that lies on a
@@ -28,12 +31,11 @@ topology needs no max-flow at all.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.sparse.csgraph import connected_components, dijkstra, maximum_flow
 
 from .delay_space import DelaySpace
 from .topology import CapacityProfile, Topology
@@ -41,59 +43,27 @@ from .topology import CapacityProfile, Topology
 
 def _edge_arrays(topology: Topology, space: DelaySpace):
     """Canonically sorted (uploader, downloader, weight, multiplicity) arrays."""
-    if not topology.edges:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.int64),
-        )
-    items = sorted(topology.edges.items())
-    ul = np.array([k[0] for k, _ in items], dtype=np.int64)
-    dl = np.array([k[1] for k, _ in items], dtype=np.int64)
-    mult = np.array([c for _, c in items], dtype=np.int64)
-    w = space.edge_delays(ul, dl)
-    return ul, dl, w, mult
+    ul, dl, mult = topology.edge_arrays()
+    return ul, dl, space.edge_delays(ul, dl), mult
 
 
-def _dijkstra(n: int, ul, dl, w, active=None) -> tuple[np.ndarray, np.ndarray]:
+def _dijkstra(n: int, ul, dl, w) -> tuple[np.ndarray, np.ndarray]:
     """Single-source shortest paths from node 0 over the given edge list.
 
     Returns (dist, pred). Unreachable nodes get dist=inf, pred=-1. Among
     predecessors u with dist[u] + w(u,v) == dist[v] and dist[u] < dist[v],
-    the lowest node id wins; only degenerate zero-delay hops fall back to
-    traversal order.
+    the lowest node id wins; only degenerate zero-delay hops keep the
+    predecessor of scipy's traversal order.
     """
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for k in range(len(ul)):
-        if active is None or active[k]:
-            adj[int(ul[k])].append((int(dl[k]), float(w[k])))
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    dist[0] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, 0)]
-    settled = np.zeros(n, dtype=bool)
-    while heap:
-        du, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        for v, wt in adj[u]:
-            nd = du + wt
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-
+    graph = csr_matrix((w, (ul, dl)), shape=(n, n))
+    dist, pred = dijkstra(graph, indices=0, return_predecessors=True)
+    pred = np.maximum(pred, -1).astype(np.int64)
     # Deterministic predecessor cleanup: lowest-id strictly-closer tight edge.
-    if len(ul):
-        mask = active if active is not None else np.ones(len(ul), dtype=bool)
-        tight = mask & (dist[ul] + w == dist[dl]) & (dist[ul] < dist[dl])
-        if tight.any():
-            best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(best, dl[tight], ul[tight])
-            found = best < np.iinfo(np.int64).max
-            pred[found] = best[found]
+    tight = (dist[ul] + w == dist[dl]) & (dist[ul] < dist[dl])
+    best = np.full(n, n, dtype=np.int64)
+    np.minimum.at(best, dl[tight], ul[tight])
+    found = best < n
+    pred[found] = best[found]
     return dist, pred
 
 
@@ -101,6 +71,8 @@ def shortest_paths(topology: Topology, space: DelaySpace) -> tuple[np.ndarray, n
     """Peercaster-rooted shortest-path distances and predecessors.
 
     Connection multiplicities do not matter here; only which links exist.
+    A predecessor is the lowest-id strictly-closer node on a shortest path;
+    a node reached only over zero-delay ties keeps scipy's traversal order.
     """
     ul, dl, w, _ = _edge_arrays(topology, space)
     return _dijkstra(topology.n_nodes, ul, dl, w)
@@ -122,19 +94,21 @@ def tree_delay(topology: Topology, space: DelaySpace, m: int) -> tuple[np.ndarra
     Removes one multiplicity unit of every tree edge, m-1 times, recomputing
     the tree each round, then reports the remaining shortest-path delays.
     Raises ValueError if any node ends up unreachable (the input cannot have
-    had m edge-disjoint peercaster paths per node).
+    had m edge-disjoint peercaster paths per node). Each tree is the one
+    :func:`shortest_paths` reports for the edges left, so zero-delay ties
+    follow scipy's traversal order there too.
     """
     n = topology.n_nodes
     ul, dl, w, mult = _edge_arrays(topology, space)
-    mult = mult.copy()
-    index = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(ul, dl))}
+    keys = ul * n + dl  # sorted, as the edges are
     for _ in range(m - 1):
-        _, pred = _dijkstra(n, ul, dl, w, active=mult > 0)
-        for v in range(1, n):
-            p = int(pred[v])
-            if p >= 0:
-                mult[index[(p, v)]] -= 1
-    dist, _ = _dijkstra(n, ul, dl, w, active=mult > 0)
+        live = mult > 0
+        _, pred = _dijkstra(n, ul[live], dl[live], w[live])
+        # One tree edge per reached peer, so the indices are distinct.
+        v = np.flatnonzero(pred >= 0)
+        mult[np.searchsorted(keys, pred[v] * n + v)] -= 1
+    live = mult > 0
+    dist, _ = _dijkstra(n, ul[live], dl[live], w[live])
     if not np.isfinite(dist[1:]).all():
         missing = int(np.flatnonzero(~np.isfinite(dist))[0])
         raise ValueError(
@@ -162,7 +136,7 @@ class PathTable:
         self.n_nodes = topology.n_nodes
         # in_conns[i]: sorted list of (uploader, multiplicity)
         per_node: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        for (j, i), c in sorted(topology.edges.items()):
+        for j, i, c in zip(*(a.tolist() for a in topology.edge_arrays())):
             per_node[i].append((j, c))
         self.in_conns = per_node
         self._path_memo: dict[int, tuple[int, ...]] = {0: (0,)}
@@ -359,23 +333,20 @@ class FeasibilityReport:
         return self.ok
 
 
-def _flow_graph(topology: Topology, cap_per_edge: np.ndarray) -> csr_matrix:
+def _flow_graph(topology: Topology, cap: int | None = None) -> csr_matrix:
+    """The multigraph with connection multiplicities, clipped at ``cap`` if
+    given, as edge capacities."""
+    ul, dl, mult = topology.edge_arrays()
+    if cap is not None:
+        mult = np.minimum(mult, cap)
     n = topology.n_nodes
-    if not topology.edges:
-        return csr_matrix((n, n), dtype=np.int32)
-    items = sorted(topology.edges)
-    rows = np.array([k[0] for k in items], dtype=np.int64)
-    cols = np.array([k[1] for k in items], dtype=np.int64)
-    return csr_matrix((cap_per_edge.astype(np.int32), (rows, cols)), shape=(n, n))
+    return csr_matrix((mult.astype(np.int32), (ul, dl)), shape=(n, n))
 
 
 def max_flow(topology: Topology, sink: int, source: int = 0) -> int:
     """Exact maximum flow from ``source`` to ``sink`` with the connection
     multiplicities as edge capacities."""
-    items = sorted(topology.edges)
-    caps = np.array([topology.edges[k] for k in items], dtype=np.int64)
-    graph = _flow_graph(topology, caps)
-    return int(maximum_flow(graph, source, sink).flow_value)
+    return int(maximum_flow(_flow_graph(topology), source, sink).flow_value)
 
 
 def _cycle_nodes(graph: csr_matrix) -> list[int]:
@@ -408,13 +379,14 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
     if caps.n_nodes != n:
         raise ValueError(f"capacity profile covers {caps.n_nodes} nodes, topology has {n}")
     in_mult = topology.in_multiplicity()
-    for i in range(1, n):
-        if in_mult[i] != m:
-            return FeasibilityReport(
-                False, 1,
-                f"requirement 1 violated: node {i} has {int(in_mult[i])} incoming "
-                f"connections, expected exactly {m}",
-            )
+    wrong = np.flatnonzero(in_mult[1:] != m) + 1
+    if len(wrong):
+        i = int(wrong[0])
+        return FeasibilityReport(
+            False, 1,
+            f"requirement 1 violated: node {i} has {int(in_mult[i])} incoming "
+            f"connections, expected exactly {m}",
+        )
     out_mult = topology.out_multiplicity()
     over = np.flatnonzero(out_mult > caps.u)
     if len(over):
@@ -426,11 +398,7 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
         )
     # Clipping capacities at m leaves every cut's min(value, m) intact, so the
     # >= m test is unchanged and failing flow values are exact.
-    items = sorted(topology.edges)
-    clipped = np.minimum(
-        np.array([topology.edges[k] for k in items], dtype=np.int64), m
-    )
-    graph = _flow_graph(topology, clipped)
+    graph = _flow_graph(topology, m)
     flows: dict[int, int] = {}
 
     def flow_to(i: int) -> int:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -174,17 +175,23 @@ class Topology:
         residual_u.flags.writeable = False
         self.residual_u = residual_u
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(uploader, downloader, multiplicity) int64 arrays, one entry per
+        distinct edge, sorted by (uploader, downloader): the canonical edge
+        order every consumer reads."""
+        e = len(self.edges)
+        pairs = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * e).reshape(e, 2)
+        mult = np.fromiter(self.edges.values(), np.int64, e)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return pairs[order, 0], pairs[order, 1], mult[order]
+
     def in_multiplicity(self) -> np.ndarray:
-        m = np.zeros(self.n_nodes, dtype=np.int64)
-        for (_, dl), c in self.edges.items():
-            m[dl] += c
-        return m
+        _, dl, mult = self.edge_arrays()
+        return np.bincount(dl, weights=mult, minlength=self.n_nodes).astype(np.int64)
 
     def out_multiplicity(self) -> np.ndarray:
-        m = np.zeros(self.n_nodes, dtype=np.int64)
-        for (ul, _), c in self.edges.items():
-            m[ul] += c
-        return m
+        ul, _, mult = self.edge_arrays()
+        return np.bincount(ul, weights=mult, minlength=self.n_nodes).astype(np.int64)
 
     def upload_capacity(self) -> np.ndarray:
         """Reconstruct u from residuals and realised uploads."""
@@ -198,8 +205,8 @@ class Topology:
         """
         with open(edges_path, "w", encoding="ascii", newline="\n") as f:
             f.write("uploader,downloader,multiplicity\n")
-            for (ul, dl) in sorted(self.edges):
-                f.write(f"{ul},{dl},{self.edges[(ul, dl)]}\n")
+            for row in zip(*(a.tolist() for a in self.edge_arrays())):
+                f.write("%d,%d,%d\n" % row)
         if caps_path is not None:
             u = self.upload_capacity()
             with open(caps_path, "w", encoding="ascii", newline="\n") as f:
@@ -232,7 +239,13 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
             key = (int(r["uploader"]), int(r["downloader"]))
             if not (0 <= key[0] < len(rows) and 0 <= key[1] < len(rows)):
                 raise ValueError(f"edge {key} references a node outside the capacity file")
-            edges[key] = edges.get(key, 0) + int(r["multiplicity"])
+            mult = int(r["multiplicity"])
+            if mult <= 0:
+                raise ValueError(
+                    f"non-positive multiplicity {mult} for edge {key} in {edges_path}, "
+                    f"line {reader.line_num}"
+                )
+            edges[key] = edges.get(key, 0) + mult
     return Topology(len(rows), edges, residual), CapacityProfile(u)
 
 

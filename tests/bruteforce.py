@@ -3,9 +3,12 @@
 These deliberately share no code with the package: shortest paths come from
 exhaustive simple-path enumeration, flow values from min-cut enumeration over
 all vertex subsets, and vulnerabilities from literally walking every
-materialised path.
+materialised path. The package's earlier ``heapq`` Dijkstra and the tree
+delay built on it are kept here as a reference for the library shortest
+paths that replaced them.
 """
 
+import heapq
 from collections import Counter
 
 import numpy as np
@@ -77,3 +80,71 @@ def brute_vulnerabilities(table):
         for v, c in per_v.items():
             s_arr[v] += c
     return v_arr, s_arr
+
+
+def heap_dijkstra(n, ul, dl, w, active=None):
+    """Single-source shortest paths from node 0 over the given edge list.
+
+    Returns (dist, pred). Unreachable nodes get dist=inf, pred=-1. Among
+    predecessors u with dist[u] + w(u,v) == dist[v] and dist[u] < dist[v],
+    the lowest node id wins; only degenerate zero-delay hops fall back to
+    traversal order.
+    """
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for k in range(len(ul)):
+        if active is None or active[k]:
+            adj[int(ul[k])].append((int(dl[k]), float(w[k])))
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int64)
+    dist[0] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, 0)]
+    settled = np.zeros(n, dtype=bool)
+    while heap:
+        du, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        for v, wt in adj[u]:
+            nd = du + wt
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+
+    # Deterministic predecessor cleanup: lowest-id strictly-closer tight edge.
+    if len(ul):
+        mask = active if active is not None else np.ones(len(ul), dtype=bool)
+        tight = mask & (dist[ul] + w == dist[dl]) & (dist[ul] < dist[dl])
+        if tight.any():
+            best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+            np.minimum.at(best, dl[tight], ul[tight])
+            found = best < np.iinfo(np.int64).max
+            pred[found] = best[found]
+    return dist, pred
+
+
+def sorted_edge_arrays(topology, space):
+    """(uploader, downloader, delay, multiplicity) arrays in (uploader,
+    downloader) order, straight from the edge dict."""
+    items = sorted(topology.edges.items())
+    ul = np.array([k[0] for k, _ in items], dtype=np.int64)
+    dl = np.array([k[1] for k, _ in items], dtype=np.int64)
+    mult = np.array([c for _, c in items], dtype=np.int64)
+    return ul, dl, space.edge_delays(ul, dl), mult
+
+
+def heap_tree_delay(topology, space, m, dijkstra=heap_dijkstra):
+    """Tree delay over ``dijkstra`` (by default :func:`heap_dijkstra`): m-1
+    times remove one unit of every tree edge, then the shortest-path delays
+    of what remains (inf where nothing is left)."""
+    n = topology.n_nodes
+    ul, dl, w, mult = sorted_edge_arrays(topology, space)
+    index = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(ul, dl))}
+    for _ in range(m - 1):
+        _, pred = dijkstra(n, ul, dl, w, active=mult > 0)
+        for v in range(1, n):
+            p = int(pred[v])
+            if p >= 0:
+                mult[index[(p, v)]] -= 1
+    dist, _ = dijkstra(n, ul, dl, w, active=mult > 0)
+    return dist

@@ -17,7 +17,7 @@ from p2pcast import (
     make_rng,
 )
 from p2pcast.cli import main
-from p2pcast.harness import AGG_HEADER, RESULTS_HEADER
+from p2pcast.harness import AGG_HEADER, RESULTS_HEADER, cell_seed
 
 CONFIG = """\
 distributions=flat,tight
@@ -80,6 +80,39 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert rc == 2
 
 
+def test_run_reports_malformed_results_without_traceback(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    path = out / "results.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:-1] + "2"  # the failed flag is neither 0 nor 1
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed row in {path}, line 3: failed flag '2'")
+    assert "Traceback" not in err
+
+
+def test_run_refuses_to_resume_under_another_seed(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--seed", "0", "--out", str(out)]) == 0
+    before = (out / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_file), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    first = (out / "results.csv").read_text().splitlines()[1].split(",")
+    policy, dist, n, run, seed = first[:5]
+    assert err.startswith(
+        f"error: {out / 'results.csv'}: cell {policy}/{dist}/n={n}/run={run} has seed {seed}, "
+        f"but master seed 1 gives {cell_seed(1, policy, dist, int(n), int(run))}"
+    )
+    assert (out / "results.csv").read_bytes() == before
+    # Under its own seed the directory still resumes, as a no-op.
+    assert main(["run", "--config", str(config_file), "--seed", "0", "--out", str(out)]) == 0
+    assert (out / "results.csv").read_bytes() == before
+
+
 def test_aggregate_recomputes_from_raw(config_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(config_file), "--out", str(out)])
@@ -124,6 +157,20 @@ def test_verify_flags_mutual_exchange_island(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "infeasible" in out and "requirement 3" in out
+
+
+def test_verify_rejects_negative_multiplicity(tmp_path, capsys):
+    # A -1 edge would pad the in-multiplicity sums into looking feasible.
+    edges = tmp_path / "edges.csv"
+    edges.write_text("uploader,downloader,multiplicity\n0,1,5\n2,1,-1\n1,2,4\n")
+    sidecar = tmp_path / "caps.csv"
+    sidecar.write_text("node,u,residual_u\n0,16,11\n1,16,12\n2,16,16\n")
+    assert main(["verify", str(edges), str(sidecar)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: non-positive multiplicity -1 for edge (2, 1) in {edges}, line 3\n"
+    )
 
 
 def test_verify_reports_io_and_format_errors(tmp_path, capsys):

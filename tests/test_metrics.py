@@ -7,6 +7,9 @@ import pytest
 
 import p2pcast.metrics
 from p2pcast import (
+    ALL_POLICY_CODES,
+    KINDS,
+    AdmissionStuck,
     CapacityProfile,
     DelaySpace,
     DistributionSpec,
@@ -15,6 +18,7 @@ from p2pcast import (
     Topology,
     build,
     compute_metrics,
+    derive_seed,
     generate,
     make_rng,
     max_flow,
@@ -25,7 +29,14 @@ from p2pcast import (
     tree_delay,
     verify_feasible,
 )
-from bruteforce import brute_min_cut, brute_shortest_paths, brute_vulnerabilities
+from bruteforce import (
+    brute_min_cut,
+    brute_shortest_paths,
+    brute_vulnerabilities,
+    heap_dijkstra,
+    heap_tree_delay,
+    sorted_edge_arrays,
+)
 
 
 def topo(n, edges):
@@ -235,6 +246,110 @@ def test_tree_delay_dominates_min_delay():
         dist, _ = min_delay(t, space)
         tree, _ = tree_delay(t, space, 4)
         assert (tree >= dist).all()  # pruning can only hurt
+
+
+# ------------------------------------- library Dijkstra vs heapq reference
+
+
+def library_dijkstra(n, ul, dl, w, active):
+    """The package's Dijkstra behind the reference's ``active=`` signature."""
+    return p2pcast.metrics._dijkstra(n, ul[active], dl[active], w[active])
+
+
+def assert_same_tree_delay(t, space, m, dijkstra=heap_dijkstra):
+    ref = heap_tree_delay(t, space, m, dijkstra)
+    if np.isfinite(ref[1:]).all():
+        assert np.array_equal(tree_delay(t, space, m)[0], ref)
+    else:
+        with pytest.raises(ValueError, match="unreachable"):
+            tree_delay(t, space, m)
+
+
+def test_built_topologies_match_heap_dijkstra_bit_for_bit():
+    # Every policy and distribution, M = 1..6, u0 at M or 16, capacities
+    # that include 0.
+    built = 0
+    for m in range(1, 7):
+        for code in ALL_POLICY_CODES:
+            for kind in KINDS:
+                seed = derive_seed(m, code, kind)
+                n = 20 + seed % 21
+                space = generate(DistributionSpec.preset(kind, n, seed))
+                u0 = m if seed % 2 else 16
+                caps = CapacityProfile.sample(
+                    n, make_rng(seed, "capacities"), (0, 1, 5, 10, 16), u0
+                )
+                try:
+                    t = build(space, caps, PolicySpec.from_code(code), m, seed)
+                except AdmissionStuck:
+                    continue
+                ul, dl, w, _ = sorted_edge_arrays(t, space)
+                ref_dist, ref_pred = heap_dijkstra(n, ul, dl, w)
+                dist, pred = shortest_paths(t, space)
+                assert np.array_equal(dist, ref_dist)
+                assert np.array_equal(pred, ref_pred)
+                assert_same_tree_delay(t, space, m)
+                built += 1
+    assert built >= 200, built
+
+
+def random_delay_multigraph(rng, coincident):
+    """A multigraph with self-loops, cycles, edges into node 0 and, if
+    ``coincident``, nodes sharing coordinates (zero-delay edges)."""
+    n = int(rng.integers(2, 12))
+    m = int(rng.integers(1, 6))
+    if coincident:
+        spots = rng.random((int(rng.integers(1, n + 1)), 2)).round(int(rng.integers(0, 3)))
+        coords = spots[rng.integers(0, len(spots), size=n)]
+    else:
+        coords = rng.random((n, 2))
+    edges: dict[tuple[int, int], int] = {}
+    for v in range(1, n):
+        for _ in range(m):
+            u = int(rng.integers(0, n)) if rng.random() < 0.4 else int(rng.integers(0, v))
+            edges[(u, v)] = edges.get((u, v), 0) + 1
+    if rng.random() < 0.3:
+        edges[(int(rng.integers(1, n)), 0)] = 1
+    return DelaySpace(coords), topo(n, edges), m
+
+
+def test_random_multigraphs_match_heap_dijkstra():
+    rng = np.random.default_rng(4)
+    ties = 0
+    for k in range(2000):
+        coincident = k % 2 == 1
+        space, t, m = random_delay_multigraph(rng, coincident)
+        n = t.n_nodes
+        ul, dl, w, _ = sorted_edge_arrays(t, space)
+        ref_dist, ref_pred = heap_dijkstra(n, ul, dl, w)
+        dist, pred = shortest_paths(t, space)
+        assert np.array_equal(dist, ref_dist)
+        if not coincident:
+            # Every delay is positive: each reached peer has a strictly-closer
+            # tight predecessor, which fixes pred and every extracted tree.
+            assert np.array_equal(pred, ref_pred)
+            assert_same_tree_delay(t, space, m)
+            continue
+        # A strictly-closer tight predecessor fixes pred; otherwise pred is
+        # some tight in-edge, and following pred always ends at node 0.
+        tight = (dist[ul] + w == dist[dl]) & (dist[ul] < dist[dl])
+        fixed = np.zeros(n, dtype=bool)
+        fixed[dl[tight]] = True
+        assert np.array_equal(pred[fixed], ref_pred[fixed])
+        ties += not np.array_equal(pred, ref_pred)
+        assert pred[0] == -1 and ((pred >= 0) == np.isfinite(dist))[1:].all()
+        for v in np.flatnonzero(pred >= 0):
+            p = int(pred[v])
+            assert (p, v) in t.edges and dist[p] + space.delay(p, v) == dist[v]
+            hops = 0
+            while p != 0:
+                p, hops = int(pred[p]), hops + 1
+                assert hops < n
+        # Zero-delay ties may pick other trees than the reference, so the
+        # unit removal is checked against the reference loop over the same
+        # trees.
+        assert_same_tree_delay(t, space, m, library_dijkstra)
+    assert ties >= 100, ties
 
 
 # ------------------------------------------------------------ feasibility

@@ -314,6 +314,19 @@ def test_topology_accessors_and_csv_round_trip(tmp_path):
     assert np.array_equal(loaded_caps.u, caps.u)
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_read_topology_csv_rejects_non_positive_multiplicity(tmp_path, bad):
+    edges_path = tmp_path / "topo.csv"
+    caps_path = tmp_path / "caps.csv"
+    edges_path.write_text(f"uploader,downloader,multiplicity\n0,1,5\n2,1,{bad}\n1,2,4\n")
+    caps_path.write_text("node,u,residual_u\n0,16,11\n1,16,12\n2,16,16\n")
+    with pytest.raises(ValueError) as exc:
+        read_topology_csv(edges_path, caps_path)
+    assert str(exc.value) == (
+        f"non-positive multiplicity {bad} for edge (2, 1) in {edges_path}, line 3"
+    )
+
+
 def test_build_validation_errors():
     space = line_space(0.0, 0.1)
     with pytest.raises(ValueError):  # peercaster too weak
