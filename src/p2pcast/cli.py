@@ -8,19 +8,23 @@ Subcommands:
   feasibility and report the first violated requirement.
 * ``distributions`` — write sample delay spaces as node,x,y CSVs.
 * ``demo`` — run a small built-in grid end to end and verify every cell.
+
+Exit 1 means an infeasible topology (from ``verify``, or built by a cell of
+``run`` or ``demo``) or a stuck ``demo`` cell; exit 2 means bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+import time
 
 from . import harness
 from .delay_space import KINDS, DistributionSpec, generate
 from .metrics import verify_feasible
-from .rng import make_rng
-from .topology import CapacityProfile, PolicySpec, build, read_topology_csv
+from .topology import TopologyBuildError, read_topology_csv
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -32,18 +36,31 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 def _progress(stream):
-    state = {"count": 0}
+    count, t0 = itertools.count(1), time.perf_counter()
 
     def report(result: harness.CellResult) -> None:
-        state["count"] += 1
-        status = "FAILED (admission stuck)" if result.failed else f"{result.build_ms} ms"
+        status = "FAILED (admission stuck)" if result.failed else "ok"
         print(
-            f"[{state['count']}] {result.policy}/{result.distribution}/"
-            f"n={result.n}/run={result.run}: {status}",
+            f"[{next(count)}] {result.policy}/{result.distribution}/"
+            f"n={result.n}/run={result.run}: {status} ({time.perf_counter() - t0:.1f} s elapsed)",
             file=stream,
         )
 
     return report
+
+
+def _sweep(config: harness.ExperimentConfig, args) -> list[harness.CellResult] | int:
+    """The grid's cell results, or the exit code after printing the error."""
+    try:
+        results, _ = harness.run_experiment(
+            config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
+        )
+    except (OSError, ValueError, TopologyBuildError) as exc:
+        # An unwritable --out or a results.csv that cannot be resumed is bad
+        # input (2); a built topology that fails verification is a program fault (1).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, TopologyBuildError) else 2
+    return results
 
 
 def _cmd_run(args) -> int:
@@ -59,13 +76,9 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        results, _ = harness.run_experiment(
-            config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
-        )
-    except ValueError as exc:  # e.g. a results.csv that cannot be resumed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = _sweep(config, args)
+    if isinstance(results, int):
+        return results
     failed = sum(r.failed for r in results)
     print(
         f"{len(results)} cells in {os.path.join(args.out, 'results.csv')} "
@@ -116,34 +129,15 @@ def _cmd_distributions(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    config = harness.ExperimentConfig.demo_grid(args.seed)
-    results, _ = harness.run_experiment(
-        config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
-    )
-    # Re-derive each cell and check the three feasibility requirements
-    # independently of what the harness recorded.
-    bad: list[str] = []
-    for policy, dist, n, run in harness.iter_cells(config):
-        seed = harness.cell_seed(config.master_seed, policy, dist, n, run)
-        space = generate(DistributionSpec.preset(dist, n, seed))
-        caps = CapacityProfile.sample(
-            n, make_rng(seed, "capacities"), config.sim.capacity_choices, config.sim.u0
-        )
-        try:
-            topo = build(space, caps, PolicySpec.from_code(policy), config.sim.m, seed)
-        except Exception as exc:  # admission stuck would already be a failed cell
-            bad.append(f"{policy}/{dist}/n={n}/run={run}: build failed ({exc})")
-            continue
-        report = verify_feasible(topo, caps, config.sim.m)
-        if not report.ok:
-            bad.append(f"{policy}/{dist}/n={n}/run={run}: {report.message}")
-    total = len(results)
-    if bad:
-        print(f"demo: {len(bad)}/{total} cells infeasible", file=sys.stderr)
-        for line in bad:
-            print(f"  {line}", file=sys.stderr)
+    results = _sweep(harness.ExperimentConfig.demo_grid(args.seed), args)
+    if isinstance(results, int):
+        return results
+    stuck = [r for r in results if r.failed]
+    if stuck:
+        cells = "".join(f"\n  {r.policy}/{r.distribution}/n={r.n}/run={r.run}" for r in stuck)
+        print(f"demo: {len(stuck)}/{len(results)} cells stuck in admission:{cells}", file=sys.stderr)
         return 1
-    print(f"demo: all {total} cells feasible; outputs in {args.out}")
+    print(f"demo: all {len(results)} cells feasible; outputs in {args.out}")
     return 0
 
 

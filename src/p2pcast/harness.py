@@ -2,9 +2,10 @@
 
 A grid of cells (distribution x policy x size x run) is evaluated with one
 derived seed per cell, so the whole result set is a pure function of the
-configuration and the master seed. Raw per-cell metrics stream into
-``results.csv`` as they finish; completed cells are recognised on restart and
-skipped, which makes interrupted runs resumable and re-runs byte-identical.
+configuration and the master seed; ``results.csv`` holds no wall time. Each
+built topology is verified before it is measured. Raw per-cell metrics stream
+into ``results.csv`` as they finish; completed cells are recognised on restart
+and skipped, which makes interrupted runs resumable and re-runs byte-identical.
 Aggregation pools runs (and, for the headline rows, all distributions) into
 means with Student-t 95% confidence half-widths.
 
@@ -24,30 +25,32 @@ caller), not the config file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 from scipy import stats
 
 from .delay_space import KINDS, DistributionSpec, generate
-from .metrics import compute_metrics
+from .metrics import compute_metrics, verify_feasible
 from .rng import derive_seed, make_rng
 from .topology import (
     ALL_POLICY_CODES,
     AdmissionStuck,
     CapacityProfile,
     PolicySpec,
+    TopologyBuildError,
     build,
 )
 
 RESULTS_HEADER = (
     "policy,distribution,n,run,seed,min_delay_mean_s,tree_delay_mean_s,"
-    "mean_node_vuln,max_sys_vuln,build_ms,failed"
+    "mean_node_vuln,max_sys_vuln,failed"
 )
 AGG_HEADER = "policy,distribution,n,metric,mean,ci95_halfwidth,k"
 METRIC_COLUMNS = ("min_delay_mean_s", "tree_delay_mean_s", "mean_node_vuln", "max_sys_vuln")
@@ -201,7 +204,6 @@ class CellResult:
     tree_delay_mean_s: float | None
     mean_node_vuln: float | None
     max_sys_vuln: float | None
-    build_ms: int
     failed: bool
 
     def key(self) -> tuple[str, str, int, int]:
@@ -215,7 +217,7 @@ class CellResult:
             f"{self.policy},{self.distribution},{self.n},{self.run},{self.seed},"
             f"{fmt(self.min_delay_mean_s)},{fmt(self.tree_delay_mean_s)},"
             f"{fmt(self.mean_node_vuln)},{fmt(self.max_sys_vuln)},"
-            f"{self.build_ms},{int(self.failed)}"
+            f"{int(self.failed)}"
         )
 
 
@@ -236,29 +238,27 @@ def iter_cells(config: ExperimentConfig):
 def run_cell(
     policy: str, distribution: str, n: int, run: int, master_seed: int, sim: SimParams
 ) -> CellResult:
-    """Generate, build and measure a single cell."""
+    """Generate, build, verify and measure a single cell. A stuck admission
+    gives a failed row; a built topology that fails verification is a program
+    fault and raises :class:`TopologyBuildError` naming the cell."""
     seed = cell_seed(master_seed, policy, distribution, n, run)
     space = generate(DistributionSpec.preset(distribution, n, seed))
     caps = CapacityProfile.sample(n, make_rng(seed, "capacities"), sim.capacity_choices, sim.u0)
-    t0 = time.perf_counter()
     try:
         topo = build(space, caps, PolicySpec.from_code(policy), sim.m, seed)
     except AdmissionStuck:
-        build_ms = int(round((time.perf_counter() - t0) * 1000))
-        return CellResult(policy, distribution, n, run, seed, None, None, None, None, build_ms, True)
-    build_ms = int(round((time.perf_counter() - t0) * 1000))
+        return CellResult(policy, distribution, n, run, seed, None, None, None, None, True)
+    feasible = verify_feasible(topo, caps, sim.m)
+    if not feasible.ok:
+        cell = f"{policy}/{distribution}/n={n}/run={run}"
+        raise TopologyBuildError(f"{cell}: built an infeasible topology: {feasible.message}")
     report = compute_metrics(topo, space, sim.m)
     return CellResult(
         policy, distribution, n, run, seed,
         report.min_delay_mean_s, report.tree_delay_mean_s,
         report.mean_node_vuln, report.max_sys_vuln,
-        build_ms, False,
+        False,
     )
-
-
-def _run_cell_task(task) -> CellResult:
-    policy, dist, n, run, master_seed, sim = task
-    return run_cell(policy, dist, n, run, master_seed, sim)
 
 
 def read_results_csv(path) -> list[CellResult]:
@@ -284,11 +284,7 @@ def read_results_csv(path) -> list[CellResult]:
                         n=int(r["n"]),
                         run=int(r["run"]),
                         seed=int(r["seed"]),
-                        min_delay_mean_s=float(r["min_delay_mean_s"]) if r["min_delay_mean_s"] else None,
-                        tree_delay_mean_s=float(r["tree_delay_mean_s"]) if r["tree_delay_mean_s"] else None,
-                        mean_node_vuln=float(r["mean_node_vuln"]) if r["mean_node_vuln"] else None,
-                        max_sys_vuln=float(r["max_sys_vuln"]) if r["max_sys_vuln"] else None,
-                        build_ms=int(r["build_ms"]),
+                        **{c: float(r[c]) if r[c] else None for c in METRIC_COLUMNS},
                         failed=r["failed"] == "1",
                     )
                 )
@@ -329,7 +325,8 @@ def run_experiment(
     torn last row (no trailing newline) is dropped with a warning and its
     cell is run again. A row whose seed is not the one ``config.master_seed``
     derives for its cell raises ValueError naming the file, the cell and
-    both seeds.
+    both seeds. A cell that builds an infeasible topology raises
+    :class:`TopologyBuildError` (see :func:`run_cell`).
     ``parallel`` > 1 distributes cells over worker processes; results are
     written in canonical order either way, so parallelism changes wall time
     only. Returns all cell results plus the aggregate rows, which are also
@@ -356,30 +353,21 @@ def run_experiment(
     else:
         mode = "w"
 
-    todo = [
-        (policy, dist, n, run, config.master_seed, config.sim)
-        for (policy, dist, n, run) in iter_cells(config)
-        if (policy, dist, n, run) not in done
-    ]
+    todo = [(*cell, config.master_seed, config.sim) for cell in iter_cells(config) if cell not in done]
 
-    with open(results_path, mode, encoding="ascii", newline="\n") as f:
+    serial = parallel <= 1 or not todo
+    with open(results_path, mode, encoding="ascii", newline="\n") as f, (
+        contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=parallel)
+    ) as pool:
         if mode == "w":
             f.write(RESULTS_HEADER + "\n")
             f.flush()
-        if parallel > 1 and todo:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                for result in pool.map(_run_cell_task, todo, chunksize=1):
-                    f.write(result.csv_row() + "\n")
-                    f.flush()
-                    if progress is not None:
-                        progress(result)
-        else:
-            for task in todo:
-                result = _run_cell_task(task)
-                f.write(result.csv_row() + "\n")
-                f.flush()
-                if progress is not None:
-                    progress(result)
+        cells = starmap(run_cell, todo) if serial else pool.map(run_cell, *zip(*todo), chunksize=1)
+        for result in cells:
+            f.write(result.csv_row() + "\n")
+            f.flush()
+            if progress is not None:
+                progress(result)
 
     all_results = read_results_csv(results_path)
     agg = aggregate(all_results)

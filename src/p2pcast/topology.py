@@ -35,6 +35,7 @@ diverse/none/small-world grid.
 
 from __future__ import annotations
 
+import csv
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
@@ -215,37 +216,52 @@ class Topology:
                     f.write(f"{i},{int(u[i])},{int(self.residual_u[i])}\n")
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int_rows(path, header: list[str]) -> list[tuple[int, list[int]]]:
+    """(line, values) of each row of an all-integer CSV file with ``header``.
+    Raises ValueError naming the file and line of any malformed row."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        if (got := next(reader, None)) != header:
+            raise ValueError(f"unexpected header in {path}: {got}; expected {header}")
+        rows = []
+        try:
+            for fields in filter(None, reader):
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+                values = [int(v) for v in fields]
+                if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+                    raise ValueError(f"a field of {fields} is outside the int64 range")
+                rows.append((reader.line_num, values))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {path}, line {reader.line_num}") from None
+    return rows
+
+
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
     """Read a topology written by :meth:`Topology.to_csv` (both files)."""
-    import csv
-
-    with open(caps_path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["node", "u", "residual_u"]:
-            raise ValueError(f"unexpected capacity header in {caps_path}: {reader.fieldnames}")
-        rows = [(int(r["node"]), int(r["u"]), int(r["residual_u"])) for r in reader]
-    rows.sort()
+    rows = sorted(values for _, values in _int_rows(caps_path, ["node", "u", "residual_u"]))
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"capacity file {caps_path} must list every node exactly once")
     u = np.array([r[1] for r in rows], dtype=np.int64)
     residual = np.array([r[2] for r in rows], dtype=np.int64)
 
     edges: dict[tuple[int, int], int] = {}
-    with open(edges_path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["uploader", "downloader", "multiplicity"]:
-            raise ValueError(f"unexpected edge header in {edges_path}: {reader.fieldnames}")
-        for r in reader:
-            key = (int(r["uploader"]), int(r["downloader"]))
-            if not (0 <= key[0] < len(rows) and 0 <= key[1] < len(rows)):
-                raise ValueError(f"edge {key} references a node outside the capacity file")
-            mult = int(r["multiplicity"])
-            if mult <= 0:
-                raise ValueError(
-                    f"non-positive multiplicity {mult} for edge {key} in {edges_path}, "
-                    f"line {reader.line_num}"
-                )
-            edges[key] = edges.get(key, 0) + mult
+    for line, (up, down, mult) in _int_rows(edges_path, ["uploader", "downloader", "multiplicity"]):
+        key = (up, down)
+        if not (0 <= up < len(rows) and 0 <= down < len(rows)):
+            raise ValueError(
+                f"edge {key} references a node outside the capacity file in {edges_path}, line {line}"
+            )
+        if mult <= 0:
+            raise ValueError(
+                f"non-positive multiplicity {mult} for edge {key} in {edges_path}, line {line}"
+            )
+        edges[key] = edges.get(key, 0) + mult
+        if edges[key] > _INT64_MAX:
+            raise ValueError(f"edge {key} sums beyond the int64 range in {edges_path}, line {line}")
     return Topology(len(rows), edges, residual), CapacityProfile(u)
 
 

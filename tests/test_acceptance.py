@@ -246,7 +246,7 @@ def test_criterion_6_distribution_sanity():
 
 
 def test_criterion_7_determinism_and_performance(tmp_path):
-    # (a) demo grid re-run is byte-identical
+    # (a) demo grid re-run is byte-identical, and so is a second fresh run
     demo_cfg = ExperimentConfig.demo_grid()
     out = tmp_path / "demo"
     run_experiment(demo_cfg, out)
@@ -254,6 +254,10 @@ def test_criterion_7_determinism_and_performance(tmp_path):
     run_experiment(demo_cfg, out)
     demo_ok = (out / "results.csv").read_bytes() == raw
     demo_ok = demo_ok and (out / "agg.csv").read_bytes() == agg
+    fresh = tmp_path / "demo_fresh"
+    run_experiment(demo_cfg, fresh)
+    fresh_ok = (fresh / "results.csv").read_bytes() == raw
+    fresh_ok = fresh_ok and (fresh / "agg.csv").read_bytes() == agg
 
     # (b) one GDD build at n = 5000 within 60 s
     seed = cell_seed(ACCEPT_SEED, "GDD", "flat", 5000, 0)
@@ -286,8 +290,9 @@ def test_criterion_7_determinism_and_performance(tmp_path):
 
     report(
         7,
-        demo_ok and gdd_ok and grid_ok,
-        f"demo re-run byte-identical: {demo_ok}; GDD n=5000 build {gdd_s:.1f}s "
+        demo_ok and fresh_ok and gdd_ok and grid_ok,
+        f"demo re-run byte-identical: {demo_ok}; fresh demo run byte-identical: "
+        f"{fresh_ok}; GDD n=5000 build {gdd_s:.1f}s "
         f"(limit 60s); {grid_detail} (limit 7200s)",
     )
 

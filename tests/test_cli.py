@@ -16,8 +16,11 @@ from p2pcast import (
     generate,
     make_rng,
 )
+from p2pcast import harness
 from p2pcast.cli import main
 from p2pcast.harness import AGG_HEADER, RESULTS_HEADER, cell_seed
+from p2pcast.topology import AdmissionStuck
+from test_harness import drop_one_unit
 
 CONFIG = """\
 distributions=flat,tight
@@ -78,6 +81,11 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = main(["run", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")])
     assert rc == 2
+    capsys.readouterr()
+    good = tmp_path / "good.cfg"
+    good.write_text("distributions=flat\npolicies=GR\nsizes=10\nruns=1\n")
+    assert main(["run", "--config", str(good), "--out", str(bad)]) == 2  # --out is a file
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
 
 def test_run_reports_malformed_results_without_traceback(config_file, tmp_path, capsys):
@@ -98,19 +106,33 @@ def test_run_refuses_to_resume_under_another_seed(config_file, tmp_path, capsys)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file), "--seed", "0", "--out", str(out)]) == 0
     before = (out / "results.csv").read_bytes()
-    capsys.readouterr()
-    assert main(["run", "--config", str(config_file), "--seed", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
     first = (out / "results.csv").read_text().splitlines()[1].split(",")
     policy, dist, n, run, seed = first[:5]
-    assert err.startswith(
-        f"error: {out / 'results.csv'}: cell {policy}/{dist}/n={n}/run={run} has seed {seed}, "
-        f"but master seed 1 gives {cell_seed(1, policy, dist, int(n), int(run))}"
-    )
-    assert (out / "results.csv").read_bytes() == before
+    for args in (["run", "--config", str(config_file)], ["demo"]):
+        capsys.readouterr()
+        assert main(args + ["--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {out / 'results.csv'}: cell {policy}/{dist}/n={n}/run={run} has seed "
+            f"{seed}, but master seed 1 gives {cell_seed(1, policy, dist, int(n), int(run))}"
+        )
+        assert (out / "results.csv").read_bytes() == before
     # Under its own seed the directory still resumes, as a no-op.
     assert main(["run", "--config", str(config_file), "--seed", "0", "--out", str(out)]) == 0
     assert (out / "results.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["run", "demo"])
+def test_infeasible_build_exits_1_naming_the_cell(config_file, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(harness, "build", drop_one_unit)
+    args = ["run", "--config", str(config_file)] if command == "run" else ["demo"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    first = "GR/flat/n=8/run=0" if command == "run" else "FR/flat/n=10/run=0"
+    assert captured.err.startswith(
+        f"error: {first}: built an infeasible topology: requirement 1 violated: node "
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_aggregate_recomputes_from_raw(config_file, tmp_path, capsys):
@@ -182,6 +204,38 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
     sidecar.write_text("node,u,residual_u\n0,16,16\n")
     assert main(["verify", str(edges), str(sidecar)]) == 2
     assert "error:" in capsys.readouterr().err
+    caps_text = "node,u,residual_u\n0,16,12\n1,4,4\n"
+    edge_header = "uploader,downloader,multiplicity\n"
+    for edge_rows, caps, message in (
+        (
+            "0,1,4\n0,2,x\n",
+            caps_text,
+            f"invalid literal for int() with base 10: 'x' in {edges}, line 3",
+        ),
+        (
+            "0,1,99999999999999999999\n",
+            caps_text,
+            f"a field of ['0', '1', '99999999999999999999'] is outside the int64 range "
+            f"in {edges}, line 2",
+        ),
+        (
+            "0,1,9223372036854775807\n0,1,1\n",
+            caps_text,
+            f"edge (0, 1) sums beyond the int64 range in {edges}, line 3",
+        ),
+        ("0,1,4\n0,1\n", caps_text, f"expected 3 fields, got 2 in {edges}, line 3"),
+        (
+            "0,1,4\n1,2,4\n",
+            caps_text,
+            f"edge (1, 2) references a node outside the capacity file in {edges}, line 3",
+        ),
+        ("0,1,4\n", "node,u,residual_u\n0,16,12\n1,4\n", f"expected 3 fields, got 2 in {sidecar}, line 3"),
+    ):
+        edges.write_text(edge_header + edge_rows)
+        sidecar.write_text(caps)
+        assert main(["verify", str(edges), str(sidecar)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_distributions_writes_scatter_files(tmp_path, capsys):
@@ -203,6 +257,20 @@ def test_demo_all_cells_feasible(tmp_path, capsys):
     assert "all 168 cells feasible" in out
     assert (tmp_path / "demo" / "results.csv").exists()
     assert (tmp_path / "demo" / "agg.csv").exists()
+
+
+def test_demo_lists_stuck_cells_and_exits_1(tmp_path, capsys, monkeypatch):
+    def stuck(*args, **kwargs):
+        raise AdmissionStuck((1,), 0, 4)
+
+    monkeypatch.setattr(harness, "build", stuck)
+    assert main(["demo", "--out", str(tmp_path / "demo")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.split("demo: ")[1].splitlines()
+    assert lines[0] == "168/168 cells stuck in admission:"
+    assert lines[1:3] == ["  FR/flat/n=10/run=0", "  FR/flat/n=10/run=1"]
+    assert len(lines) == 169 and lines[-1] == "  GDS/loose/n=30/run=1"
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from p2pcast import harness
 from p2pcast.harness import (
     AGG_HEADER,
     DEFAULT_GRID_SIZES,
@@ -28,6 +29,7 @@ from p2pcast.harness import (
     write_aggregate_csv,
 )
 from p2pcast.rng import derive_seed
+from p2pcast.topology import Topology, TopologyBuildError, build
 
 TINY = ExperimentConfig(
     distributions=("flat", "tight"),
@@ -36,18 +38,6 @@ TINY = ExperimentConfig(
     runs=2,
     master_seed=42,
 )
-
-
-def strip_build_ms(path):
-    """results.csv content with the timing column blanked (it may jitter)."""
-    out = []
-    with open(path) as f:
-        for line in f:
-            cols = line.rstrip("\n").split(",")
-            if cols and cols[0] != "policy":
-                cols[9] = ""
-            out.append(",".join(cols))
-    return "\n".join(out)
 
 
 # ------------------------------------------------------------- config
@@ -192,7 +182,7 @@ def test_run_cell_success_row():
     assert 0.0 <= r.mean_node_vuln <= 1.0
     assert 0.0 <= r.max_sys_vuln <= 1.0
     again = run_cell("GR", "flat", 12, 0, 42, SimParams())
-    assert again.csv_row().rsplit(",", 2)[0] == r.csv_row().rsplit(",", 2)[0]
+    assert again.csv_row() == r.csv_row()
 
 
 def test_run_cell_records_failure():
@@ -208,13 +198,34 @@ def test_run_cell_records_failure():
     assert ",,,," in row  # four blank metric fields
 
 
+def drop_one_unit(*args, **kwargs):
+    """A stand-in for ``build`` whose topology lacks one connection unit of
+    the first edge, so its downloader has only M-1 incoming units."""
+    topo = build(*args, **kwargs)
+    edges = dict(topo.edges)
+    first = min(edges)
+    edges[first] -= 1
+    if not edges[first]:
+        del edges[first]
+    return Topology(topo.n_nodes, edges, topo.residual_u)
+
+
+def test_run_cell_raises_on_an_infeasible_build(monkeypatch):
+    monkeypatch.setattr(harness, "build", drop_one_unit)
+    with pytest.raises(TopologyBuildError) as exc:
+        run_cell("GR", "flat", 12, 0, 42, SimParams())
+    assert str(exc.value).startswith(
+        "GR/flat/n=12/run=0: built an infeasible topology: requirement 1 violated: node "
+    )
+
+
 # ------------------------------------------------------------- aggregation
 
 
 def test_aggregate_pools_then_splits():
     def cell(policy, dist, n, run, value, failed=False):
         v = None if failed else value
-        return CellResult(policy, dist, n, run, 0, v, v, v, v, 1, failed)
+        return CellResult(policy, dist, n, run, 0, v, v, v, v, failed)
 
     rows = aggregate(
         [
@@ -237,7 +248,7 @@ def test_aggregate_pools_then_splits():
 
 
 def test_aggregate_drops_empty_groups():
-    failed = CellResult("GR", "flat", 10, 0, 0, None, None, None, None, 1, True)
+    failed = CellResult("GR", "flat", 10, 0, 0, None, None, None, None, True)
     assert aggregate([failed]) == []
 
 
@@ -287,20 +298,16 @@ def test_run_experiment_resume_is_byte_identical(tmp_path):
 
 
 def test_run_experiment_resumes_partial_file(tmp_path):
-    def no_timing(rows):
-        return [r.csv_row().split(",")[:9] + r.csv_row().split(",")[10:] for r in rows]
-
     out = tmp_path / "exp"
     results, _ = run_experiment(TINY, out)
+    whole = (out / "results.csv").read_bytes()
     # truncate to the first 5 rows, as if the run had been interrupted
     lines = (out / "results.csv").read_text().splitlines()
     (out / "results.csv").write_text("\n".join(lines[:6]) + "\n")
     resumed, _ = run_experiment(TINY, out)
-    # identical metrics; only the re-measured build times may jitter
-    assert no_timing(resumed) == no_timing(results)
-    kept, redone = resumed[:5], resumed[5:]
-    assert [r.csv_row() for r in kept] == [r.csv_row() for r in results[:5]]
-    assert all(not r.failed for r in redone)
+    assert [r.csv_row() for r in resumed] == [r.csv_row() for r in results]
+    assert (out / "results.csv").read_bytes() == whole
+    assert all(not r.failed for r in resumed[5:])
 
 
 def test_run_experiment_recovers_torn_last_row(tmp_path):
@@ -318,7 +325,7 @@ def test_run_experiment_recovers_torn_last_row(tmp_path):
     with pytest.warns(UserWarning, match=rf"results\.csv: dropped {torn} bytes of a torn last row"):
         resumed, _ = run_experiment(TINY, out)
     assert keys_and_metrics(resumed) == keys_and_metrics(whole)
-    assert strip_build_ms(path) == strip_build_ms(tmp_path / "whole" / "results.csv")
+    assert path.read_bytes() == (tmp_path / "whole" / "results.csv").read_bytes()
     assert (out / "agg.csv").read_bytes() == (tmp_path / "whole" / "agg.csv").read_bytes()
 
 
@@ -341,21 +348,34 @@ def test_read_results_csv_names_malformed_row(tmp_path):
             run_experiment(TINY, out)
 
 
+def test_resume_refuses_the_old_results_header(tmp_path):
+    # A results.csv from before the build_ms wall-time column was dropped.
+    out = tmp_path / "exp"
+    out.mkdir()
+    path = out / "results.csv"
+    old_header = RESULTS_HEADER.replace(",failed", ",build_ms,failed")
+    path.write_text(old_header + "\nGR,flat,8,0,1,0.1,0.2,0.3,0.4,5,0\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=rf"unexpected results header in {re.escape(str(path))}: "):
+        run_experiment(TINY, out)
+    assert path.read_bytes() == before
+
+
 def test_run_experiment_fresh_dirs_agree(tmp_path):
     a, _ = run_experiment(TINY, tmp_path / "a")
     b, _ = run_experiment(TINY, tmp_path / "b")
-    assert strip_build_ms(tmp_path / "a" / "results.csv") == strip_build_ms(
+    assert (tmp_path / "a" / "results.csv").read_bytes() == (
         tmp_path / "b" / "results.csv"
-    )
+    ).read_bytes()
     assert (tmp_path / "a" / "agg.csv").read_bytes() == (tmp_path / "b" / "agg.csv").read_bytes()
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):
     run_experiment(TINY, tmp_path / "serial", parallel=1)
     run_experiment(TINY, tmp_path / "pool", parallel=2)
-    assert strip_build_ms(tmp_path / "serial" / "results.csv") == strip_build_ms(
+    assert (tmp_path / "serial" / "results.csv").read_bytes() == (
         tmp_path / "pool" / "results.csv"
-    )
+    ).read_bytes()
     assert (tmp_path / "serial" / "agg.csv").read_bytes() == (
         tmp_path / "pool" / "agg.csv"
     ).read_bytes()
