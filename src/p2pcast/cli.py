@@ -103,6 +103,9 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.m < 1:
+        print(f"error: M must be at least 1, got {args.m}", file=sys.stderr)
+        return 2
     try:
         topology, caps = read_topology_csv(args.edges, args.capacities)
     except (OSError, ValueError) as exc:

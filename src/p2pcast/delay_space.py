@@ -117,10 +117,14 @@ class DelaySpace:
         dy = self._coords[i, 1] - self._coords[j, 1]
         return float(np.hypot(dx, dy))
 
-    def delays_from(self, i: int) -> np.ndarray:
-        """Vector of delays from node ``i`` to every node (length n)."""
+    def delays_from(self, i: int, ids: np.ndarray | None = None) -> np.ndarray:
+        """Vector of delays from node ``i`` to every node (length n), or to
+        the nodes ``ids`` only (length ``len(ids)``). Each entry is the same
+        ``np.hypot`` on the same operands either way, so
+        ``delays_from(i, ids)`` equals ``delays_from(i)[ids]`` bit for bit."""
         self._check(i)
-        diff = self._coords - self._coords[i]
+        pts = self._coords if ids is None else self._coords[ids]
+        diff = pts - self._coords[i]
         return np.hypot(diff[:, 0], diff[:, 1])
 
     def edge_delays(self, uploaders: np.ndarray, downloaders: np.ndarray) -> np.ndarray:

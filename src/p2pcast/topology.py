@@ -242,7 +242,13 @@ def _int_rows(path, header: list[str]) -> list[tuple[int, list[int]]]:
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
     """Read a topology written by :meth:`Topology.to_csv` (both files)."""
-    rows = sorted(values for _, values in _int_rows(caps_path, ["node", "u", "residual_u"]))
+    caps_rows = _int_rows(caps_path, ["node", "u", "residual_u"])
+    for line, (node, u_node, _) in caps_rows:
+        if u_node < 0:
+            raise ValueError(
+                f"negative upload capacity {u_node} for node {node} in {caps_path}, line {line}"
+            )
+    rows = sorted(values for _, values in caps_rows)
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"capacity file {caps_path} must list every node exactly once")
     u = np.array([r[1] for r in rows], dtype=np.int64)
@@ -317,13 +323,19 @@ class BuildState:
 
         # Fixed scored policies keep a best-eligible-uploader cache per
         # unadmitted peer, invalidated when the cached uploader exhausts.
+        # Least-delay caches are not refreshed on admission; _seen[i] counts
+        # the connected nodes, in admission order, that peer i's cache has
+        # scored (see _catch_up_rivals).
         self._best_score: np.ndarray | None = None
         self._best_up: np.ndarray | None = None
+        self._seen: np.ndarray | None = None
         if not self._arrival_order:
             base = space.delays_from(0)  # d[0] == 0, so closest == least_delay here
             self._best_score = base.copy()
             self._best_score[0] = np.inf
             self._best_up = np.zeros(n, dtype=np.int64)
+            if policy.score == LEAST_DELAY:
+                self._seen = np.ones(n, dtype=np.int64)
 
         self._penalty: float | None = None
 
@@ -362,14 +374,17 @@ class BuildState:
             raise AdmissionStuck(tuple(np.flatnonzero(self.unadmitted_mask)), self.F, self.M)
         # Cached scores are exact while the cached uploader has capacity left
         # and only under-estimate once it exhausts, so validating the winner
-        # (and re-scoring it if stale) converges on the true argmin.
+        # (and re-scoring it if stale) converges on the true argmin. A
+        # least-delay cache may also sit a rounding step above the true
+        # score; _catch_up_rivals settles the candidates where that matters.
         while True:
             scores = np.where(candidates, self._best_score, np.inf)
             best = scores.min()
             peer = int(np.flatnonzero(scores == best)[0])  # ties: lowest node id
-            if self.residual[self._best_up[peer]] > 0:
+            if self.residual[self._best_up[peer]] <= 0:
+                self._rescore(peer)
+            elif self._seen is None or not self._catch_up_rivals(peer, scores, best):
                 return peer
-            self._rescore(peer)
 
     def select_uploaders(self, peer: int) -> list[int]:
         """Choose the peer's M uploaders (repetition allowed), respecting
@@ -377,37 +392,48 @@ class BuildState:
         :meth:`update_after_admission` applies the result."""
         conn = self.connected_ids
         rr = self.residual[conn].copy()  # local view of this round's eligibility
+        n_open = int(np.count_nonzero(rr > 0))
         score = self.policy.score
         diversity = self.policy.diversity
 
-        base: np.ndarray | None = None
+        masked = base = counts = None
         if score != RANDOM:
-            base = self.space.delays_from(peer)[conn]
+            base = self.space.delays_from(peer, conn)
             if score == LEAST_DELAY:
                 base = self.d[conn] + base
-        counts = np.zeros(len(conn)) if diversity != NONE else None
+            masked = np.where(rr > 0, base, np.inf)
+            if diversity != NONE:
+                counts = np.zeros(len(conn))
 
         chosen: list[int] = []
-        for t in range(self.M):
-            eligible = rr > 0
-            if not eligible.any():
+        while len(chosen) < self.M:
+            if n_open == 0:
                 raise CapacityExhausted(
                     f"no residual upload capacity among connected peers "
                     f"(picked {len(chosen)}/{self.M} for peer {peer})"
                 )
-            if score == RANDOM or (diversity == SMALL_WORLD and t == self.M - 1):
-                ids = np.flatnonzero(eligible)
+            if score == RANDOM or (diversity == SMALL_WORLD and len(chosen) == self.M - 1):
+                ids = np.flatnonzero(rr > 0)
                 k = int(ids[self.rng.integers(len(ids))])
+                take = 1
             else:
-                eff = base if counts is None else base + counts * self._diversity_penalty()
-                masked = np.where(eligible, eff, np.inf)
                 m = masked.min()
                 ties = np.flatnonzero(masked == m)
                 k = int(ties[np.argmin(conn[ties])]) if len(ties) > 1 else int(ties[0])
-            chosen.append(int(conn[k]))
-            rr[k] -= 1
-            if counts is not None:
+                # Without diversity the argmin stays the argmin until its
+                # residual runs out, so it takes those picks at once.
+                take = 1 if counts is not None else min(int(rr[k]), self.M - len(chosen))
+            chosen += [int(conn[k])] * take
+            rr[k] -= take
+            if rr[k] == 0:
+                n_open -= 1
+                if masked is not None:
+                    masked[k] = np.inf
+            elif counts is not None and len(chosen) < self.M:
+                # Only entry k's penalty changed: the same expression per
+                # element as rebuilding base + counts * penalty.
                 counts[k] += 1
+                masked[k] = base[k] + counts[k] * self._diversity_penalty()
         return chosen
 
     def update_after_admission(self, peer: int, uploaders: list[int]) -> None:
@@ -439,7 +465,17 @@ class BuildState:
             else:
                 self.pending.remove(peer)
 
-        if self._best_score is not None:
+        # A least-delay cache skips this refresh, which scores every
+        # unadmitted peer t against the new node and, in exact arithmetic,
+        # never improves one: the new node's score d[new] + delay(new, t) is
+        # at least d[j] + delay(j, t) for the uploader j that set d[new], and
+        # t's cache has already scored j. In floating point a refresh can
+        # still win by an ulp or two when j, the new node and t are collinear
+        # within rounding, and that can decide a tie in admission order
+        # (without _catch_up_rivals, which settles those cases, the
+        # differential tests against the old builder fail on lattice and
+        # collinear coordinates).
+        if self._best_score is not None and self._seen is None:
             self._refresh_fixed_cache(peer)
 
     def _rescore(self, i: int) -> None:
@@ -448,23 +484,56 @@ class BuildState:
         connected uploader is always open."""
         conn = self.connected_ids
         open_ids = conn[self.residual[conn] > 0]
-        vec = self.space.delays_from(i)[open_ids]
+        vec = self.space.delays_from(i, open_ids)
         if self.policy.score == LEAST_DELAY:
             vec = self.d[open_ids] + vec
         k = int(vec.argmin())
         self._best_score[i] = vec[k]
         self._best_up[i] = int(open_ids[k])
+        if self._seen is not None:
+            self._seen[i] = self.n_connected
+
+    def _catch_up_rivals(self, peer: int, scores: np.ndarray, best: float) -> bool:
+        """Least-delay only: let the nodes admitted since each rival's cache
+        last looked improve it, for every candidate other than ``peer`` whose
+        cached score lies within rounding of ``best``. True if there was one.
+
+        Each such node got its d from an uploader j that was open when the
+        rival's cache looked, so the cache holds j's score or less, and by
+        the triangle inequality the node's score is at least j's up to
+        rounding. In units of 2**-53, a delay carries at most 3 (coordinate
+        difference, ``np.hypot`` within 1 ulp) and each sum 1 more, so one
+        link of such a chain undercuts by at most 10 units, relative. A
+        chain has at most n links: ``n * 2**-46`` relative (128 units per
+        link) plus ``n * 2**-1000`` for subnormal results bounds the
+        undercut. A rival beyond it can neither beat nor tie ``best``; once
+        every rival within it is current, ``peer`` is the lowest-id argmin of
+        the scores that a refresh after every admission would hold. Its own
+        cache may stay behind: :meth:`select_uploaders` rescans anyway.
+        """
+        near = np.flatnonzero(scores <= best * (1 + self.n * 2.0**-46) + self.n * 2.0**-1000)
+        behind = near[(self._seen[near] < self.n_connected) & (near != peer)]
+        for q in behind.tolist():
+            new = self._conn_buf[self._seen[q] : self.n_connected]
+            new = new[self.residual[new] > 0]
+            self._seen[q] = self.n_connected
+            if len(new):
+                vec = self.d[new] + self.space.delays_from(q, new)
+                k = int(vec.argmin())
+                if vec[k] < self._best_score[q]:
+                    self._best_score[q] = vec[k]
+                    self._best_up[q] = int(new[k])
+        return len(behind) > 0
 
     def _refresh_fixed_cache(self, new_node: int) -> None:
-        """Let the newly admitted node improve unadmitted peers' cached scores."""
+        """Let the newly admitted node improve unadmitted peers' cached
+        closest-uploader scores."""
         if self.residual[new_node] <= 0:
             return
         targets = np.flatnonzero(self.unadmitted_mask)
         if not len(targets):
             return
-        vec = self.space.delays_from(new_node)[targets]
-        if self.policy.score == LEAST_DELAY:
-            vec = self.d[new_node] + vec
+        vec = self.space.delays_from(new_node, targets)
         better = vec < self._best_score[targets]
         ids = targets[better]
         self._best_score[ids] = vec[better]

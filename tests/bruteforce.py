@@ -1,17 +1,37 @@
 """Brute-force reference implementations used as oracles by the test suite.
 
-These deliberately share no code with the package: shortest paths come from
+The graph oracles share no code with the package: shortest paths come from
 exhaustive simple-path enumeration, flow values from min-cut enumeration over
 all vertex subsets, and vulnerabilities from literally walking every
 materialised path. The package's earlier ``heapq`` Dijkstra and the tree
 delay built on it are kept here as a reference for the library shortest
-paths that replaced them.
+paths that replaced them. :func:`reference_build` is the admission builder
+as it was before its hot path computed only the delays and scans it uses
+(full-length ``delays_from`` vectors, a least-delay cache refresh after every
+admission, one masked scan per uploader pick); it is the oracle the faster
+builder must match bit for bit. It shares only the package's types,
+exceptions and seeded streams.
 """
 
 import heapq
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
+
+from p2pcast.delay_space import DelaySpace
+from p2pcast.rng import make_rng
+from p2pcast.topology import (
+    GROWING,
+    LEAST_DELAY,
+    NONE,
+    RANDOM,
+    SMALL_WORLD,
+    AdmissionStuck,
+    CapacityExhausted,
+    CapacityProfile,
+    PolicySpec,
+    Topology,
+)
 
 
 def brute_shortest_paths(topology, space, max_paths=1_000_000):
@@ -148,3 +168,236 @@ def heap_tree_delay(topology, space, m, dijkstra=heap_dijkstra):
                 mult[index[(p, v)]] -= 1
     dist, _ = dijkstra(n, ul, dl, w, active=mult > 0)
     return dist
+
+
+class ReferenceBuildState:
+    """Mutable state of one construction run. Internal to :func:`build`;
+    exposed so the admission steps can be driven and inspected one at a time.
+    """
+
+    def __init__(
+        self,
+        space: DelaySpace,
+        caps: CapacityProfile,
+        policy: PolicySpec,
+        m: int = 4,
+        seed: int = 0,
+    ):
+        n = space.n_nodes
+        if caps.n_nodes != n:
+            raise ValueError(f"capacity profile covers {caps.n_nodes} nodes, space has {n}")
+        if m < 1:
+            raise ValueError("M must be at least 1")
+        if n < 2:
+            raise ValueError("need at least one peer besides the peercaster")
+        if int(caps.u[0]) < m:
+            raise ValueError(f"peercaster capacity u_0={int(caps.u[0])} is below M={m}")
+
+        self.space = space
+        self.policy = policy
+        self.M = int(m)
+        self.n = n
+        self.u = caps.u.astype(np.int64)
+        self.residual = self.u.copy()
+        self.rng = make_rng(seed, "build")  # policy-independent label: FR and GR share streams
+
+        self.F = int(self.u[0]) - self.M
+        self.d = np.full(n, np.inf)
+        self.d[0] = 0.0
+        self.edges: dict[tuple[int, int], int] = {}
+
+        # Connected ids in admission order, as a growing prefix of a buffer so
+        # uploader scoring can slice it without copying.
+        self._conn_buf = np.empty(n, dtype=np.int64)
+        self._conn_buf[0] = 0
+        self.n_connected = 1
+        self.unadmitted_mask = np.ones(n, dtype=bool)
+        self.unadmitted_mask[0] = False
+
+        # Random-score policies admit in arrival order through the growing
+        # path; this makes FR and GR produce identical topologies under the
+        # same seed (they are the same procedure).
+        self._arrival_order = policy.ordering == GROWING or policy.score == RANDOM
+        self.pending: deque[int] | None = deque(range(1, n)) if self._arrival_order else None
+
+        # Fixed scored policies keep a best-eligible-uploader cache per
+        # unadmitted peer, invalidated when the cached uploader exhausts.
+        self._best_score: np.ndarray | None = None
+        self._best_up: np.ndarray | None = None
+        if not self._arrival_order:
+            base = space.delays_from(0)  # d[0] == 0, so closest == least_delay here
+            self._best_score = base.copy()
+            self._best_score[0] = np.inf
+            self._best_up = np.zeros(n, dtype=np.int64)
+
+        self._penalty: float | None = None
+
+    # -- helpers ---------------------------------------------------------
+
+    @property
+    def connected_ids(self) -> np.ndarray:
+        """Connected nodes in admission order (peercaster first)."""
+        return self._conn_buf[: self.n_connected]
+
+    def done(self) -> bool:
+        return self.n_connected == self.n
+
+    def _diversity_penalty(self) -> float:
+        if self._penalty is None:
+            self._penalty = self.n * self.space.max_pairwise_delay()
+        return self._penalty
+
+    def _guard(self, i: int) -> bool:
+        return int(self.u[i]) + self.F >= self.M
+
+    # -- admission steps -------------------------------------------------
+
+    def select_next_peer(self) -> int:
+        """The next peer to admit under the policy. Raises AdmissionStuck if
+        nobody passes the spare-capacity guard."""
+        if self._arrival_order:
+            assert self.pending is not None
+            for i in self.pending:  # index order; failed peers stay queued
+                if self._guard(i):
+                    return i
+            raise AdmissionStuck(tuple(self.pending), self.F, self.M)
+
+        candidates = self.unadmitted_mask & (self.u + self.F >= self.M)
+        if not candidates.any():
+            raise AdmissionStuck(tuple(np.flatnonzero(self.unadmitted_mask)), self.F, self.M)
+        # Cached scores are exact while the cached uploader has capacity left
+        # and only under-estimate once it exhausts, so validating the winner
+        # (and re-scoring it if stale) converges on the true argmin.
+        while True:
+            scores = np.where(candidates, self._best_score, np.inf)
+            best = scores.min()
+            peer = int(np.flatnonzero(scores == best)[0])  # ties: lowest node id
+            if self.residual[self._best_up[peer]] > 0:
+                return peer
+            self._rescore(peer)
+
+    def select_uploaders(self, peer: int) -> list[int]:
+        """Choose the peer's M uploaders (repetition allowed), respecting
+        residual capacities connection by connection. Does not mutate state;
+        :meth:`update_after_admission` applies the result."""
+        conn = self.connected_ids
+        rr = self.residual[conn].copy()  # local view of this round's eligibility
+        score = self.policy.score
+        diversity = self.policy.diversity
+
+        base: np.ndarray | None = None
+        if score != RANDOM:
+            base = self.space.delays_from(peer)[conn]
+            if score == LEAST_DELAY:
+                base = self.d[conn] + base
+        counts = np.zeros(len(conn)) if diversity != NONE else None
+
+        chosen: list[int] = []
+        for t in range(self.M):
+            eligible = rr > 0
+            if not eligible.any():
+                raise CapacityExhausted(
+                    f"no residual upload capacity among connected peers "
+                    f"(picked {len(chosen)}/{self.M} for peer {peer})"
+                )
+            if score == RANDOM or (diversity == SMALL_WORLD and t == self.M - 1):
+                ids = np.flatnonzero(eligible)
+                k = int(ids[self.rng.integers(len(ids))])
+            else:
+                eff = base if counts is None else base + counts * self._diversity_penalty()
+                masked = np.where(eligible, eff, np.inf)
+                m = masked.min()
+                ties = np.flatnonzero(masked == m)
+                k = int(ties[np.argmin(conn[ties])]) if len(ties) > 1 else int(ties[0])
+            chosen.append(int(conn[k]))
+            rr[k] -= 1
+            if counts is not None:
+                counts[k] += 1
+        return chosen
+
+    def update_after_admission(self, peer: int, uploaders: list[int]) -> None:
+        """Commit an admission: record edges, decrement capacities, set the
+        peer's overlay delay d, update F, and refresh selection caches."""
+        if len(uploaders) != self.M:
+            raise ValueError(f"expected exactly {self.M} uploaders, got {len(uploaders)}")
+        mult = Counter(uploaders)
+        best = np.inf
+        for j, c in mult.items():
+            if self.unadmitted_mask[j]:
+                raise ValueError(f"uploader {j} is not connected yet")
+            self.edges[(j, peer)] = self.edges.get((j, peer), 0) + c
+            self.residual[j] -= c
+            if self.residual[j] < 0:
+                raise CapacityExhausted(f"uploader {j} driven past its capacity")
+            score = self.d[j] + self.space.delay(j, peer)
+            if score < best:
+                best = score
+        self.d[peer] = best
+        self.F += int(self.u[peer]) - self.M
+
+        self.unadmitted_mask[peer] = False
+        self._conn_buf[self.n_connected] = peer
+        self.n_connected += 1
+        if self.pending is not None:
+            if self.pending and self.pending[0] == peer:
+                self.pending.popleft()
+            else:
+                self.pending.remove(peer)
+
+        if self._best_score is not None:
+            self._refresh_fixed_cache(peer)
+
+    def _rescore(self, i: int) -> None:
+        """Recompute peer i's best eligible uploader from scratch. The
+        admission guard keeps F + M > 0 upload units available, so some
+        connected uploader is always open."""
+        conn = self.connected_ids
+        open_ids = conn[self.residual[conn] > 0]
+        vec = self.space.delays_from(i)[open_ids]
+        if self.policy.score == LEAST_DELAY:
+            vec = self.d[open_ids] + vec
+        k = int(vec.argmin())
+        self._best_score[i] = vec[k]
+        self._best_up[i] = int(open_ids[k])
+
+    def _refresh_fixed_cache(self, new_node: int) -> None:
+        """Let the newly admitted node improve unadmitted peers' cached scores."""
+        if self.residual[new_node] <= 0:
+            return
+        targets = np.flatnonzero(self.unadmitted_mask)
+        if not len(targets):
+            return
+        vec = self.space.delays_from(new_node)[targets]
+        if self.policy.score == LEAST_DELAY:
+            vec = self.d[new_node] + vec
+        better = vec < self._best_score[targets]
+        ids = targets[better]
+        self._best_score[ids] = vec[better]
+        self._best_up[ids] = new_node
+
+    def admit_next(self) -> int:
+        peer = self.select_next_peer()
+        uploaders = self.select_uploaders(peer)
+        self.update_after_admission(peer, uploaders)
+        return peer
+
+    def topology(self) -> Topology:
+        return Topology(self.n, dict(self.edges), self.residual)
+
+
+def reference_build(
+    space: DelaySpace,
+    caps: CapacityProfile,
+    policy: PolicySpec,
+    m: int = 4,
+    seed: int = 0,
+) -> Topology:
+    """Build a feasible topology over ``space`` under ``policy``.
+
+    Deterministic in ``seed``. Raises :class:`AdmissionStuck` when the
+    spare-capacity guard blocks every remaining peer.
+    """
+    state = ReferenceBuildState(space, caps, policy, m, seed)
+    while not state.done():
+        state.admit_next()
+    return state.topology()

@@ -195,6 +195,17 @@ def test_verify_rejects_negative_multiplicity(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_verify_rejects_m_below_1(tmp_path, capsys, m):
+    # The same bad-input exit as any unreadable file, as `run` refuses M < 1.
+    edges, sidecar = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    edges.write_text("uploader,downloader,multiplicity\n0,1,4\n")
+    sidecar.write_text("node,u,residual_u\n0,16,12\n1,4,4\n")
+    assert main(["verify", str(edges), str(sidecar), "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: M must be at least 1, got {m}\n")
+
+
 def test_verify_reports_io_and_format_errors(tmp_path, capsys):
     rc = main(["verify", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])
     assert rc == 2
@@ -230,6 +241,11 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
             f"edge (1, 2) references a node outside the capacity file in {edges}, line 3",
         ),
         ("0,1,4\n", "node,u,residual_u\n0,16,12\n1,4\n", f"expected 3 fields, got 2 in {sidecar}, line 3"),
+        (
+            "0,1,4\n",
+            "node,u,residual_u\n0,16,12\n1,-4,4\n",
+            f"negative upload capacity -4 for node 1 in {sidecar}, line 3",
+        ),
     ):
         edges.write_text(edge_header + edge_rows)
         sidecar.write_text(caps)

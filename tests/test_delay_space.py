@@ -27,6 +27,8 @@ def test_delay_symmetry_and_vector_queries():
     for j in (1, 7, 39):
         assert space.delay(0, j) == vec0[j]
         assert space.delay(j, 0) == space.delay(0, j)
+    ids = np.array([39, 0, 7, 7, 2])
+    assert space.delays_from(0, ids).tobytes() == vec0[ids].tobytes()
 
 
 @settings(max_examples=25, deadline=None)

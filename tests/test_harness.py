@@ -1,8 +1,10 @@
 """Experiment harness: config parsing, aggregation, resume, determinism."""
 
+import hashlib
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +370,28 @@ def test_run_experiment_fresh_dirs_agree(tmp_path):
         tmp_path / "b" / "results.csv"
     ).read_bytes()
     assert (tmp_path / "a" / "agg.csv").read_bytes() == (tmp_path / "b" / "agg.csv").read_bytes()
+
+
+#: sha256 of the outputs of ``configs/full_grid.cfg`` at sizes 10,20,50 and
+#: master seed 0 (numpy 2.4.6, scipy 1.17.1). A change that is meant to keep
+#: every bit (a faster builder, a refactor) must leave these as they are.
+FULL_GRID_SMALL_SHA256 = {
+    "results.csv": "2304f33ce45cc800116272a7b00bd8c361ab385f83fa3c19c07fa9cbf8aeb074",
+    "agg.csv": "52c1f166a50e335b8fdbea3be8ec01d363ff7f6a0b8494a6196453a320368c1b",
+}
+
+
+def test_full_grid_small_sizes_keep_their_bytes(tmp_path):
+    config_path = Path(__file__).resolve().parents[1] / "configs" / "full_grid.cfg"
+    config = config_from_mapping(
+        parse_config(config_path.read_text()), master_seed=0, sizes_override=(10, 20, 50)
+    )
+    run_experiment(config, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FULL_GRID_SMALL_SHA256
+    }
+    assert digests == FULL_GRID_SMALL_SHA256
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):

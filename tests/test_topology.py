@@ -21,7 +21,10 @@ from p2pcast import (
     shortest_paths,
     verify_feasible,
 )
+from p2pcast.delay_space import KINDS
 from p2pcast.topology import CLOSEST, DIVERSE, FIXED, GROWING, LEAST_DELAY, NONE, RANDOM, SMALL_WORLD
+
+from bruteforce import ReferenceBuildState, reference_build
 
 
 def line_space(*xs):
@@ -288,6 +291,84 @@ def test_all_policies_produce_feasible_topologies():
         assert report.ok, f"{code}: {report.message}"
         assert topo.in_multiplicity()[1:].tolist() == [4] * 29
         assert (topo.out_multiplicity() <= caps.u).all()
+
+
+# ------------------------------------------- differential: reference builder
+
+#: (M, capacity choices, u0): the default, and the edges users can set.
+BUILD_PARAMS = ((4, (1, 5, 10, 16), 16), (1, (0, 1, 2), 1), (6, (0, 1, 5, 16), 6), (2, (2,), 2))
+
+
+def build_outcome(state_cls, space, caps, code, m, seed):
+    """Everything a build decides, compared bit for bit: the edge dict in
+    insertion order, d and the residuals, or the stuck set and F."""
+    state = state_cls(space, caps, PolicySpec.from_code(code), m, seed)
+    try:
+        while not state.done():
+            state.admit_next()
+    except AdmissionStuck as exc:
+        return ("stuck", exc.stuck, exc.F)
+    return ("built", list(state.edges.items()), state.d.tobytes(), state.residual.tobytes())
+
+
+def assert_builds_match_reference(space, params, seed):
+    n = space.n_nodes
+    for m, choices, u0 in params:
+        caps = CapacityProfile.sample(n, make_rng(seed, "capacities", m), choices, u0)
+        for code in ALL_POLICY_CODES:
+            got = build_outcome(BuildState, space, caps, code, m, seed)
+            want = build_outcome(ReferenceBuildState, space, caps, code, m, seed)
+            assert got == want, f"{code}, n={n}, M={m}, capacities={choices}, u0={u0}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [10, 37, 200, 600])
+def test_build_matches_reference_builder(kind, n):
+    # At n=600 each kind runs the default parameters and one other set, so
+    # every size meets every parameter set without the full product's cost.
+    params = BUILD_PARAMS if n < 600 else (BUILD_PARAMS[0], BUILD_PARAMS[1 + KINDS.index(kind)])
+    assert_builds_match_reference(generate(DistributionSpec.preset(kind, n, n)), params, seed=n)
+
+
+_rng = np.random.default_rng(2024)
+_t = _rng.permutation(np.arange(-20, 21))
+#: Coordinates with exact ties and one-ulp triangle-inequality failures.
+DEGENERATE_COORDS = {
+    "coincident": np.tile([0.1, -0.2], (30, 1)),
+    "collinear-x": np.c_[_t * 0.1, np.zeros(len(_t))],
+    "collinear-slanted": np.c_[0.3 * _t / 7 + 0.05, 0.1 * _t / 7 - 0.2],
+    "lattice": _rng.integers(-3, 4, size=(50, 2)) * 0.1,
+    "few-sites": _rng.uniform(-0.25, 0.25, size=(3, 2))[_rng.integers(0, 3, size=40)],
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_COORDS)
+def test_build_matches_reference_builder_on_degenerate_coordinates(name):
+    space = DelaySpace(DEGENERATE_COORDS[name])
+    for seed in (0, 1):
+        assert_builds_match_reference(space, BUILD_PARAMS, seed)
+    caps = CapacityProfile.sample(space.n_nodes, make_rng(0, "capacities"))
+    for code in ALL_POLICY_CODES:
+        try:
+            want = reference_build(space, caps, PolicySpec.from_code(code), 4, seed=0)
+        except AdmissionStuck:
+            continue
+        got = build(space, caps, PolicySpec.from_code(code), 4, seed=0)
+        assert got.edges == want.edges and np.array_equal(got.residual_u, want.residual_u)
+
+
+def test_diverse_penalty_rounding_matches_reference():
+    # Peer 2 sits a rounding step off the midpoint of nodes 0 and 1. With
+    # M=6 it picks each of them twice, then its fifth pick compares b + 2L
+    # for both: distinct values that (b + L) + L would round into a tie.
+    space = line_space(0.0, 0.2, 0.1 + 6 * 2**-57)
+    caps = CapacityProfile(np.array([16, 16, 16]))
+    b, penalty = space.delays_from(2, np.array([0, 1])), 3 * space.max_pairwise_delay()
+    assert b[0] + 2 * penalty != b[1] + 2 * penalty
+    assert (b[0] + penalty) + penalty == (b[1] + penalty) + penalty
+    for code in ALL_POLICY_CODES:
+        got = build_outcome(BuildState, space, caps, code, 6, 0)
+        assert got == build_outcome(ReferenceBuildState, space, caps, code, 6, 0), code
 
 
 # ------------------------------------------------------------- plumbing
