@@ -6,6 +6,8 @@ configuration and the master seed; ``results.csv`` holds no wall time. Each
 built topology is verified before it is measured. Raw per-cell metrics stream
 into ``results.csv`` as they finish; completed cells are recognised on restart
 and skipped, which makes interrupted runs resumable and re-runs byte-identical.
+``manifest.json`` beside it records the settings every row depends on, so a
+resume under other settings is refused instead of reusing the old rows.
 Aggregation pools runs (and, for the headline rows, all distributions) into
 means with Student-t 95% confidence half-widths.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -312,6 +315,37 @@ def _drop_torn_tail(path) -> None:
     )
 
 
+def _manifest(config: ExperimentConfig) -> dict:
+    """The settings that every row of ``results.csv`` depends on but does not
+    record (the master seed only through each cell's seed)."""
+    return {
+        "master_seed": config.master_seed,
+        "M": config.sim.m,
+        "u0": config.sim.u0,
+        "capacities": list(config.sim.capacity_choices),
+        "results_header": RESULTS_HEADER,
+    }
+
+
+def _check_manifest(path, want: dict) -> None:
+    """Raise ValueError naming the first key whose value in the manifest at
+    ``path`` differs from ``want``."""
+    with open(path, encoding="ascii") as f:
+        try:
+            got = json.load(f)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(got, dict):
+        raise ValueError(f"{path}: not a JSON manifest: expected an object")
+    for key, value in want.items():
+        if got.get(key) != value:
+            raise ValueError(
+                f"{path}: this directory was run with {key}={got.get(key)!r}, but this run "
+                f"has {key}={value!r}; resume with the same settings or use a new output "
+                f"directory"
+            )
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir,
@@ -325,8 +359,11 @@ def run_experiment(
     torn last row (no trailing newline) is dropped with a warning and its
     cell is run again. A row whose seed is not the one ``config.master_seed``
     derives for its cell raises ValueError naming the file, the cell and
-    both seeds. A cell that builds an infeasible topology raises
-    :class:`TopologyBuildError` (see :func:`run_cell`).
+    both seeds. A resume whose settings (:func:`_manifest`) differ from
+    ``out_dir/manifest.json`` raises ValueError naming the key and both
+    values; a directory without a manifest gets one. A cell that builds an
+    infeasible topology raises :class:`TopologyBuildError` (see
+    :func:`run_cell`).
     ``parallel`` > 1 distributes cells over worker processes; results are
     written in canonical order either way, so parallelism changes wall time
     only. Returns all cell results plus the aggregate rows, which are also
@@ -352,6 +389,13 @@ def run_experiment(
         mode = "a"
     else:
         mode = "w"
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    manifest = _manifest(config)
+    if mode == "a" and os.path.exists(manifest_path):
+        _check_manifest(manifest_path, manifest)
+    else:
+        with open(manifest_path, "w", encoding="ascii", newline="\n") as f:
+            f.write(json.dumps(manifest, indent=2) + "\n")
 
     todo = [(*cell, config.master_seed, config.sim) for cell in iter_cells(config) if cell not in done]
 

@@ -369,18 +369,22 @@ class BuildState:
                     return i
             raise AdmissionStuck(tuple(self.pending), self.F, self.M)
 
-        candidates = self.unadmitted_mask & (self.u + self.F >= self.M)
-        if not candidates.any():
-            raise AdmissionStuck(tuple(np.flatnonzero(self.unadmitted_mask)), self.F, self.M)
+        # With F >= M every unadmitted peer passes the guard (u_i >= 0) and
+        # admitted peers score inf, so the cache itself is the score vector.
+        limited = self.F < self.M or self.done()
+        if limited:
+            candidates = self.unadmitted_mask & (self.u + self.F >= self.M)
+            if not candidates.any():
+                raise AdmissionStuck(tuple(np.flatnonzero(self.unadmitted_mask)), self.F, self.M)
         # Cached scores are exact while the cached uploader has capacity left
         # and only under-estimate once it exhausts, so validating the winner
         # (and re-scoring it if stale) converges on the true argmin. A
         # least-delay cache may also sit a rounding step above the true
         # score; _catch_up_rivals settles the candidates where that matters.
         while True:
-            scores = np.where(candidates, self._best_score, np.inf)
-            best = scores.min()
-            peer = int(np.flatnonzero(scores == best)[0])  # ties: lowest node id
+            scores = np.where(candidates, self._best_score, np.inf) if limited else self._best_score
+            peer = int(scores.argmin())  # the first minimum: ties go to the lowest node id
+            best = scores[peer]
             if self.residual[self._best_up[peer]] <= 0:
                 self._rescore(peer)
             elif self._seen is None or not self._catch_up_rivals(peer, scores, best):
@@ -391,7 +395,7 @@ class BuildState:
         residual capacities connection by connection. Does not mutate state;
         :meth:`update_after_admission` applies the result."""
         conn = self.connected_ids
-        rr = self.residual[conn].copy()  # local view of this round's eligibility
+        rr = self.residual[conn]  # fancy indexing copies: this round's own eligibility
         n_open = int(np.count_nonzero(rr > 0))
         score = self.policy.score
         diversity = self.policy.diversity
@@ -457,6 +461,8 @@ class BuildState:
         self.F += int(self.u[peer]) - self.M
 
         self.unadmitted_mask[peer] = False
+        if self._best_score is not None:
+            self._best_score[peer] = np.inf
         self._conn_buf[self.n_connected] = peer
         self.n_connected += 1
         if self.pending is not None:

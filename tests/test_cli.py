@@ -121,6 +121,20 @@ def test_run_refuses_to_resume_under_another_seed(config_file, tmp_path, capsys)
     assert (out / "results.csv").read_bytes() == before
 
 
+def test_run_refuses_to_resume_under_another_m(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    before = (out / "results.csv").read_bytes()
+    other = tmp_path / "m3.cfg"
+    other.write_text(CONFIG + "M=3\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(other), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {out / 'manifest.json'}: this directory was run with M=4, but this run has M=3"
+    )
+    assert (out / "results.csv").read_bytes() == before
+
+
 @pytest.mark.parametrize("command", ["run", "demo"])
 def test_infeasible_build_exits_1_naming_the_cell(config_file, tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(harness, "build", drop_one_unit)

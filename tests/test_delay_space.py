@@ -184,3 +184,67 @@ def test_preset_parameters():
     assert (loose.D, loose.d, loose.p) == (0.25, 0.05, 0.01)
     # worst-case delay inside the box is its diagonal: sqrt(2)/2 seconds
     assert math.hypot(2 * tight.D, 2 * tight.D) == pytest.approx(math.sqrt(2) / 2)
+
+
+# ------------------------------------- differential: row-major delay layout
+
+
+def row_major_delays_from(coords, i, ids=None):
+    """``delays_from`` as computed from the (n, 2) rows before the columns."""
+    pts = coords if ids is None else coords[ids]
+    diff = pts - coords[i]
+    return np.hypot(diff[:, 0], diff[:, 1])
+
+
+def row_major_edge_delays(coords, uploaders, downloaders):
+    a, b = coords[uploaders], coords[downloaders]
+    return np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+
+
+def row_major_delay(coords, i, j):
+    return float(np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1]))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+_lrng = np.random.default_rng(77)
+#: Generated spaces, exact ties, rounded lattices and the extremes of scale.
+LAYOUT_COORDS = {
+    **{kind: generate(DistributionSpec.preset(kind, 300, 9)).coords for kind in ("flat", "tight", "loose")},
+    "coincident": np.tile([0.1, -0.2], (20, 1)),
+    "lattice": _lrng.integers(-5, 6, size=(60, 2)) * 0.1,
+    "tiny": _lrng.uniform(-1, 1, size=(60, 2)) * 1e-300,
+    "huge": _lrng.uniform(-1, 1, size=(60, 2)) * 1e300,
+    "huge-lattice": _lrng.integers(-5, 6, size=(60, 2)) * 0.1 * 1e300,
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_COORDS)
+def test_column_layout_matches_row_major_bit_for_bit(name):
+    coords = np.array(LAYOUT_COORDS[name])
+    space = DelaySpace(coords)
+    n = len(coords)
+    rng = np.random.default_rng(n)
+    for i in range(n):
+        full = space.delays_from(i)
+        assert np.array_equal(bits(full), bits(row_major_delays_from(coords, i)))
+        ids = rng.integers(0, n, size=rng.integers(0, 2 * n))
+        assert np.array_equal(bits(space.delays_from(i, ids)), bits(row_major_delays_from(coords, i, ids)))
+        for j in rng.integers(0, n, size=5).tolist():
+            want = row_major_delay(coords, i, j)
+            assert bits(space.delay(i, j)) == bits(want)
+            # delay(i, j) subtracts j from i; delays_from(j) subtracts j from
+            # every node, so its entry i has the very same operands.
+            assert bits(space.delay(i, j)) == bits(space.delays_from(j)[i])
+    ul, dl = rng.integers(0, n, size=(2, 4 * n))
+    assert np.array_equal(bits(space.edge_delays(ul, dl)), bits(row_major_edge_delays(coords, ul, dl)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"coordinates must be finite; row 2 is \["):
+        DelaySpace([[0.0, 0.0], [0.1, 0.0], [bad, 0.2], [0.3, bad]])
+    with pytest.raises(ValueError, match="row 1 is"):
+        DelaySpace([[0.0, 0.0], [0.1, bad]])

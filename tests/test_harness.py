@@ -1,6 +1,8 @@
 """Experiment harness: config parsing, aggregation, resume, determinism."""
 
+import dataclasses
 import hashlib
+import json
 import math
 import os
 import re
@@ -361,6 +363,66 @@ def test_resume_refuses_the_old_results_header(tmp_path):
     with pytest.raises(ValueError, match=rf"unexpected results header in {re.escape(str(path))}: "):
         run_experiment(TINY, out)
     assert path.read_bytes() == before
+
+
+def test_run_experiment_writes_its_manifest(tmp_path):
+    run_experiment(TINY, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text()) == {
+        "master_seed": 42,
+        "M": 4,
+        "u0": 16,
+        "capacities": [1, 5, 10, 16],
+        "results_header": RESULTS_HEADER,
+    }
+
+
+@pytest.mark.parametrize(
+    "sim, key, old, new",
+    [
+        (SimParams(m=3), "M", "4", "3"),
+        (SimParams(u0=20), "u0", "16", "20"),
+        (SimParams(capacity_choices=(5, 10, 16)), "capacities", "[1, 5, 10, 16]", "[5, 10, 16]"),
+    ],
+)
+def test_resume_refuses_other_settings(tmp_path, sim, key, old, new):
+    run_experiment(TINY, tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in ("results.csv", "agg.csv", "manifest.json")}
+    calls = []
+    with pytest.raises(ValueError) as exc:
+        run_experiment(dataclasses.replace(TINY, sim=sim), tmp_path, progress=calls.append)
+    assert str(exc.value).startswith(
+        f"{tmp_path / 'manifest.json'}: this directory was run with {key}={old}, "
+        f"but this run has {key}={new}; "
+    )
+    assert calls == []
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
+def test_resume_refuses_another_seed_without_rows(tmp_path):
+    # With no row to carry a cell seed, only the manifest knows the old seed.
+    run_experiment(TINY, tmp_path)
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_HEADER + "\n")
+    with pytest.raises(ValueError, match="run with master_seed=42, but this run has master_seed=43"):
+        run_experiment(dataclasses.replace(TINY, master_seed=43), tmp_path)
+    assert path.read_text() == RESULTS_HEADER + "\n"
+
+
+def test_resume_adopts_or_rejects_a_manifest(tmp_path):
+    whole, _ = run_experiment(TINY, tmp_path / "whole")
+    out = tmp_path / "out"
+    run_experiment(TINY, out)
+    manifest = out / "manifest.json"
+    # A directory from before manifests resumes and gets one.
+    written = manifest.read_bytes()
+    manifest.unlink()
+    resumed, _ = run_experiment(TINY, out)
+    assert manifest.read_bytes() == written
+    assert [r.csv_row() for r in resumed] == [r.csv_row() for r in whole]
+    for bad in (b"{not json", b"\xff", b"[4]"):
+        manifest.write_bytes(bad)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(manifest))}: not a JSON manifest"):
+            run_experiment(TINY, out)
 
 
 def test_run_experiment_fresh_dirs_agree(tmp_path):

@@ -371,6 +371,42 @@ def test_diverse_penalty_rounding_matches_reference():
         assert got == build_outcome(ReferenceBuildState, space, caps, code, 6, 0), code
 
 
+def test_select_next_peer_takes_both_branches(monkeypatch):
+    # With u0 = M the first admission has F = 0 < M, so only peers with
+    # u_i >= M pass the guard and select_next_peer must mask the others; once
+    # F >= M every unadmitted peer passes and it reads the cache directly.
+    m, choices, u0 = 6, (0, 1, 5, 16), 6
+    space = generate(DistributionSpec.preset("flat", 120, 4))
+    caps = CapacityProfile.sample(120, make_rng(4, "capacities"), choices, u0)
+    steps = []
+    select = BuildState.select_next_peer
+
+    def recording(self):
+        blocked = self.unadmitted_mask & (self.u + self.F < self.M)
+        steps.append((self.F < self.M, bool(blocked.any())))
+        return select(self)
+
+    monkeypatch.setattr(BuildState, "select_next_peer", recording)
+    for code in ALL_POLICY_CODES:
+        if PolicySpec.from_code(code).ordering != FIXED or code == "FR":
+            continue
+        steps.clear()
+        got = build_outcome(BuildState, space, caps, code, m, 4)
+        assert got[0] == "built", code
+        assert got == build_outcome(ReferenceBuildState, space, caps, code, m, 4), code
+        assert (True, True) in steps, f"{code}: the guard never limited the candidates"
+        assert any(not limited for limited, _ in steps), f"{code}: F never reached M"
+    # Once every peer is in, nobody is left to pick, even with F >= M.
+    state = BuildState(
+        line_space(0.0, 0.1, 0.2), CapacityProfile(np.array([16, 16, 16])), PolicySpec.from_code("FDN")
+    )
+    while not state.done():
+        state.admit_next()
+    assert state.F >= state.M
+    with pytest.raises(AdmissionStuck, match=r"unadmitted peers: \[\]"):
+        state.select_next_peer()
+
+
 # ------------------------------------------------------------- plumbing
 
 
