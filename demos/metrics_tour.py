@@ -15,12 +15,12 @@ import numpy as np
 from p2pcast import (
     CapacityProfile,
     DistributionSpec,
-    PathTable,
     PolicySpec,
     build,
     compute_metrics,
     generate,
     make_rng,
+    shortest_paths,
 )
 
 SEED = 5
@@ -45,18 +45,34 @@ assert (report.tree_delay >= report.min_delay).all()
 # ---------------------------------------------------------------------------
 # The realized paths behind the vulnerability numbers. Each peer has M
 # in-connections; each connection k realizes one specific shortest path
-# D_k(i) from the peercaster.
-table = PathTable.build(topo, space, M)
+# D_k(i) from the peercaster: the path to the uploader j, found by following
+# the shortest-path predecessors up from j, plus the final hop j -> i.
+dist, pred = shortest_paths(topo, space)
+
+
+def realized_path(v):
+    path = [v]
+    while path[-1] != 0:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
 worst = int(report.node_vuln.argmax())
+paths = [
+    (j, realized_path(j) + [worst])
+    for (j, i), c in sorted(topo.edges.items())
+    if i == worst
+    for _ in range(c)
+]
 print(f"\npeer {worst} has node vulnerability V = {report.node_vuln[worst]} "
       f"(out of M = {M} paths):")
-for j, delay, path in table.paths(worst):
+for j, path in paths:
     hops = " -> ".join(str(v) for v in path)
-    print(f"  via uploader {j}: {hops}  ({delay:.4f} s)")
+    print(f"  via uploader {j}: {hops}  ({dist[j] + space.delay(j, worst):.4f} s)")
 
 # V counts how often the most common intermediate node appears across those
 # M paths; the no-diversity policy reuses the same uploader, so V is high.
-intermediates = [v for _, _, path in table.paths(worst) for v in path[1:-1] if v != worst]
+intermediates = [v for _, path in paths for v in path[1:-1] if v != worst]
 if intermediates:
     top = max(set(intermediates), key=intermediates.count)
     print(f"node {top} sits on {intermediates.count(top)} of the {M} paths")

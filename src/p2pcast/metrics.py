@@ -14,6 +14,9 @@ All four metrics read a topology together with its delay space:
 * system vulnerability S_v — the total number of (node, connection) paths in
   the whole system that pass through v; reported as max_v S_v / (N * M).
 
+Only peers have substream paths: a connection into the peercaster carries
+none and counts toward neither vulnerability.
+
 Shortest paths come from ``scipy.sparse.csgraph.dijkstra`` over the edges in
 their canonical order (:meth:`Topology.edge_arrays`). Realized paths come
 from a deterministic shortest-path tree: the k-th substream path of node i is
@@ -21,7 +24,9 @@ the realized shortest path to its k-th uploader j plus the final hop (j, i).
 Ties in the tree are broken toward the lowest predecessor id among
 strictly-closer candidates, so reports are reproducible bit for bit. Only a
 node reached solely over zero-delay ties (coincident nodes) keeps the
-predecessor of scipy's traversal order.
+predecessor of scipy's traversal order. Both vulnerabilities are grouped sums
+over the connections, keyed by :class:`PathTable`'s index of that tree; no
+path is materialised.
 
 Feasibility checking is independent of the builder's bookkeeping: it recounts
 multiplicities and runs a max-flow (min-cut) test on each peer that lies on a
@@ -35,7 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, maximum_flow
+from scipy.sparse.csgraph import (
+    connected_components,
+    depth_first_order,
+    dijkstra,
+    maximum_flow,
+)
 
 from .delay_space import DelaySpace
 from .topology import CapacityProfile, Topology
@@ -119,134 +129,89 @@ def tree_delay(topology: Topology, space: DelaySpace, m: int) -> tuple[np.ndarra
 
 
 class PathTable:
-    """The realized substream paths of every node.
+    """The predecessor tree indexed for the vulnerability metrics.
 
-    For node i with k-th uploader j, the realized path is the deterministic
-    shortest path from the peercaster to j followed by the hop (j, i), with
-    delay dist[j] + delay(j, i). The table keeps the shortest-path tree and
-    per-node connection lists; full node sequences are materialised on demand.
+    For node i with k-th uploader j, the k-th substream path is the realized
+    shortest path from the peercaster to j (``pred`` followed up from j) plus
+    the hop (j, i). Its intermediate nodes are j and j's tree ancestors below
+    the peercaster, less i itself. A connection from the peercaster has none,
+    and a connection into the peercaster carries no substream path, so the
+    table keeps only the connections (``ul[k]`` -> ``dl[k]``, ``mult[k]``
+    units) between two peers. Over the tree it keeps, per node v:
+
+    * ``top[v]``: v's ancestor-or-self at depth 1, or v at depth 0;
+    * ``top2[v]``: v's ancestor-or-self at depth 2, or v at depth 0 or 1;
+    * ``pos[v]``, ``size[v]``: v's preorder rank and subtree size, so u lies
+      in v's subtree iff ``pos[v] <= pos[u] < pos[v] + size[v]``.
+
+    A node off the tree has ``top`` and ``top2`` itself, ``pos`` the number
+    of tree nodes and ``size`` 0. Raises ValueError naming the lowest
+    unreachable node that has a connection.
     """
 
-    def __init__(self, topology: Topology, space: DelaySpace, dist, pred, m: int):
-        self.topology = topology
-        self.space = space
-        self.dist = dist
+    def __init__(self, topology: Topology, pred, m: int):
+        n = topology.n_nodes
         self.pred = pred
         self.m = m
-        self.n_nodes = topology.n_nodes
-        # in_conns[i]: sorted list of (uploader, multiplicity)
-        per_node: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        for j, i, c in zip(*(a.tolist() for a in topology.edge_arrays())):
-            per_node[i].append((j, c))
-        self.in_conns = per_node
-        self._path_memo: dict[int, tuple[int, ...]] = {0: (0,)}
+        self.n_nodes = n
+        ul, dl, mult = topology.edge_arrays()
+        ends = np.concatenate([ul, dl])
+        lost = ends[(pred[ends] < 0) & (ends != 0)]
+        if len(lost):
+            raise ValueError(f"node {int(lost.min())} is unreachable from the peercaster")
+        peers = (ul != 0) & (dl != 0)
+        self.ul, self.dl, self.mult = ul[peers], dl[peers], mult[peers]
+
+        child = np.flatnonzero(pred >= 0)
+        tree = csr_matrix((np.ones(len(child)), (pred[child], child)), shape=(n, n))
+        order = depth_first_order(tree, 0, return_predecessors=False)
+        parent = pred[order]  # -1 for the peercaster, first in preorder
+        rank = np.arange(len(order))
+        # In preorder, a node's depth-1 (depth-2) ancestor is the last node
+        # at depth <= 1 (<= 2) up to and including it.
+        shallow1 = parent <= 0
+        shallow2 = shallow1 | (pred[parent] == 0)
+        self.top = np.arange(n)
+        self.top[order] = order[np.maximum.accumulate(np.where(shallow1, rank, 0))]
+        self.top2 = np.arange(n)
+        self.top2[order] = order[np.maximum.accumulate(np.where(shallow2, rank, 0))]
+        self.pos = np.full(n, len(order))
+        self.pos[order] = rank
+        # Reverse preorder visits every child before its parent.
+        size = np.zeros(n, dtype=np.int64)
+        size[order] = 1
+        size = size.tolist()
+        for v, p in zip(order[:0:-1].tolist(), parent[:0:-1].tolist()):
+            size[p] += size[v]
+        self.size = np.array(size, dtype=np.int64)
 
     @classmethod
     def build(cls, topology: Topology, space: DelaySpace, m: int | None = None) -> "PathTable":
-        dist, pred = shortest_paths(topology, space)
-        in_mult = topology.in_multiplicity()
-        for i in range(1, topology.n_nodes):
-            if in_mult[i] and not np.isfinite(dist[i]):
-                raise ValueError(f"node {i} is unreachable from the peercaster")
+        _, pred = shortest_paths(topology, space)
         if m is None:
-            m = int(in_mult[1:].max()) if topology.n_nodes > 1 else 0
-        return cls(topology, space, dist, pred, m)
-
-    def realized_path_to(self, j: int) -> tuple[int, ...]:
-        """Node sequence of the realized shortest path 0 -> j."""
-        memo = self._path_memo
-        chain: list[int] = []
-        v = int(j)
-        while v not in memo:
-            chain.append(v)
-            v = int(self.pred[v])
-            if v < 0:
-                raise ValueError(f"node {chain[-1]} has no realized path from the peercaster")
-        base = memo[v]
-        for node in reversed(chain):
-            base = base + (node,)
-            memo[node] = base
-        return memo[int(j)]
-
-    def paths(self, i: int) -> list[tuple[int, float, tuple[int, ...]]]:
-        """All of node i's connection paths as (uploader, delay, node sequence),
-        one entry per connection unit."""
-        out = []
-        for j, c in self.in_conns[i]:
-            delay = float(self.dist[j] + self.space.delay(j, i))
-            path = self.realized_path_to(j) + (i,)
-            out.extend([(j, delay, path)] * c)
-        return out
-
-    # -- pred-tree machinery shared by the vulnerability metrics ----------
-
-    def _tree_indices(self):
-        """tin/tout Euler intervals, chain tops, and a reverse-topological
-        node order for the predecessor tree."""
-        n = self.n_nodes
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(1, n):
-            p = int(self.pred[v])
-            if p >= 0:
-                children[p].append(v)
-        tin = np.full(n, -1, dtype=np.int64)
-        tout = np.full(n, -1, dtype=np.int64)
-        top = np.full(n, -1, dtype=np.int64)
-        order: list[int] = []
-        clock = 0
-        stack: list[tuple[int, bool]] = [(0, False)]
-        while stack:
-            v, closing = stack.pop()
-            if closing:
-                tout[v] = clock
-                clock += 1
-                continue
-            tin[v] = clock
-            clock += 1
-            order.append(v)
-            top[v] = v if self.pred[v] == 0 else (0 if v == 0 else top[self.pred[v]])
-            stack.append((v, True))
-            for c in reversed(children[v]):
-                stack.append((c, False))
-        return tin, tout, top, order
-
-    def _is_ancestor(self, tin, tout, a: int, b: int) -> bool:
-        return tin[a] != -1 and tin[a] <= tin[b] and tout[b] <= tout[a]
+            m = int(topology.in_multiplicity()[1:].max()) if topology.n_nodes > 1 else 0
+        return cls(topology, pred, m)
 
 
 def node_vulnerability(table: PathTable) -> tuple[np.ndarray, float]:
     """Per-node V_i and the mean node vulnerability sum(V_i) / (N * M).
 
     V_i is the largest number of node i's substream paths any single node
-    v not in {0, i} appears on.
+    v not in {0, i} appears on. Each path of a connection j -> i is keyed by
+    the node just below the peercaster on it, or, when that node is i, by
+    the node just below i: every intermediate node lies only on paths of
+    one key, and the key itself on all of them, so V_i is the largest key
+    total. A path keyed by i itself is (0, i, i), with no intermediate node.
     """
     n = table.n_nodes
-    tin, tout, top, _ = table._tree_indices()
+    top = table.top[table.ul]
+    key = np.where(top != table.dl, top, table.top2[table.ul])
+    keep = key != table.dl
+    groups, member = np.unique(table.dl[keep] * n + key[keep], return_inverse=True)
+    totals = np.zeros(len(groups), dtype=np.int64)
+    np.add.at(totals, member, table.mult[keep])
     v_arr = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        conns = table.in_conns[i]
-        degenerate = any(
-            j != 0 and table._is_ancestor(tin, tout, i, j) for j, _ in conns
-        )
-        if not degenerate:
-            by_top: dict[int, int] = {}
-            for j, c in conns:
-                if j == 0:
-                    continue  # a direct connection has no intermediate nodes
-                t = int(top[j])
-                by_top[t] = by_top.get(t, 0) + c
-            v_arr[i] = max(by_top.values(), default=0)
-        else:
-            # i sits on the realized path to one of its own uploaders (only
-            # possible in pathological imported topologies): count explicitly.
-            counts: dict[int, int] = {}
-            for j, c in conns:
-                node = j
-                while node != 0:
-                    if node != i:
-                        counts[node] = counts.get(node, 0) + c
-                    node = int(table.pred[node])
-            v_arr[i] = max(counts.values(), default=0)
+    np.maximum.at(v_arr, groups // n, totals)
     peers = n - 1
     mean = float(v_arr[1:].sum() / (peers * table.m)) if peers and table.m else 0.0
     return v_arr, mean
@@ -259,23 +224,18 @@ def system_vulnerability(table: PathTable) -> tuple[np.ndarray, float]:
     paths that contain v strictly inside.
     """
     n = table.n_nodes
-    tin, tout, _, order = table._tree_indices()
-    out_mult = table.topology.out_multiplicity()
-    s_arr = np.zeros(n, dtype=np.int64)
-    # Base: every connection uploaded by j passes through all of j's tree
-    # ancestors (and j itself), so S_v starts as the subtree sum of out_mult.
-    subtree = out_mult.astype(np.int64).copy()
-    for v in reversed(order):
-        p = int(table.pred[v]) if v != 0 else -1
-        if p > 0:  # fold into parent, but never into the peercaster
-            subtree[p] += subtree[v]
-    s_arr[1:] = subtree[1:]
+    pos, size = table.pos, table.size
+    j, i, c = table.ul, table.dl, table.mult
+    # A path of j -> i passes through j and its ancestors below the
+    # peercaster: the preorder prefix sums give each node its subtree's
+    # uploads. The path ends at i, so i drops out where it is one of them.
+    uploads = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(uploads, pos[j] + 1, c)
+    uploads = np.cumsum(uploads)
+    s_arr = uploads[pos + size] - uploads[pos]
+    own = (pos[i] <= pos[j]) & (pos[j] < pos[i] + size[i])
+    np.subtract.at(s_arr, i[own], c[own])
     s_arr[0] = 0
-    # Correction: a connection (j -> i) with i on j's own realized path would
-    # have been counted for v = i; the metric excludes the path's endpoint.
-    for (j, i), c in table.topology.edges.items():
-        if j != 0 and i != 0 and table._is_ancestor(tin, tout, i, j):
-            s_arr[i] -= c
     peers = n - 1
     worst = float(s_arr[1:].max() / (peers * table.m)) if peers and table.m else 0.0
     return s_arr, worst
@@ -304,7 +264,7 @@ def compute_metrics(topology: Topology, space: DelaySpace, m: int) -> MetricsRep
         missing = int(np.flatnonzero(~np.isfinite(dist))[0])
         raise ValueError(f"node {missing} is unreachable from the peercaster")
     tree, tree_mean = tree_delay(topology, space, m)
-    table = PathTable(topology, space, dist, pred, m)
+    table = PathTable(topology, pred, m)
     v_arr, v_mean = node_vulnerability(table)
     s_arr, s_max = system_vulnerability(table)
     return MetricsReport(

@@ -274,6 +274,12 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
 class BuildState:
     """Mutable state of one construction run. Internal to :func:`build`;
     exposed so the admission steps can be driven and inspected one at a time.
+
+    Every delay is at most D = ``np.hypot`` of the coordinate extents, so
+    every score the builder forms is below n * (M + 1) * D: an overlay delay
+    of at most n - 1 hops plus one more hop, and at most M - 1 diversity
+    penalties of n * max-pairwise-delay on top of a delay. Raises ValueError
+    when that bound is not finite, where scores could overflow to inf and tie.
     """
 
     def __init__(
@@ -293,6 +299,14 @@ class BuildState:
             raise ValueError("need at least one peer besides the peercaster")
         if int(caps.u[0]) < m:
             raise ValueError(f"peercaster capacity u_0={int(caps.u[0])} is below M={m}")
+        with np.errstate(over="ignore"):
+            extent = np.ptp(space.coords, axis=0)
+            bound = n * (m + 1) * np.hypot(*extent)
+        if not np.isfinite(bound):
+            raise ValueError(
+                f"coordinate extents {extent.tolist()} are too wide: scores up to "
+                f"n*(M+1)*hypot(extents) overflow"
+            )
 
         self.space = space
         self.policy = policy

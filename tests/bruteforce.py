@@ -3,9 +3,9 @@
 The graph oracles share no code with the package: shortest paths come from
 exhaustive simple-path enumeration, flow values from min-cut enumeration over
 all vertex subsets, and vulnerabilities from literally walking every
-materialised path. The package's earlier ``heapq`` Dijkstra and the tree
-delay built on it are kept here as a reference for the library shortest
-paths that replaced them. :func:`reference_build` is the admission builder
+realized path up a given predecessor tree. The package's earlier ``heapq``
+Dijkstra and the tree delay built on it are kept here as a reference for the
+library shortest paths that replaced them. :func:`reference_build` is the admission builder
 as it was before its hot path computed only the delays and scans it uses
 (full-length ``delays_from`` vectors, a least-delay cache refresh after every
 admission, one masked scan per uploader pick); it is the oracle the faster
@@ -85,17 +85,40 @@ def brute_min_cut(topology, sink):
     return int(cut.min())
 
 
-def brute_vulnerabilities(table):
-    """V_i and S_v recomputed by walking each materialised path."""
-    n = table.n_nodes
+def realized_path(pred, v):
+    """Node sequence (0, ..., v) found by following ``pred`` up from v.
+    Raises ValueError if the walk does not reach node 0."""
+    path = [int(v)]
+    while path[-1] != 0:
+        p = int(pred[path[-1]])
+        if p < 0:
+            raise ValueError(f"node {v} has no realized path from the peercaster")
+        if len(path) > len(pred):
+            raise RuntimeError(f"pred has a cycle above node {v}")
+        path.append(p)
+    return tuple(reversed(path))
+
+
+def realized_paths(topology, pred):
+    """Every peer's substream paths, {i: [(j, (0, ..., j, i)), ...]}: one
+    entry per connection unit, uploaders in increasing order. A connection
+    into the peercaster carries no path. Raises ValueError if any uploader
+    has no realized path."""
+    out = {i: [] for i in range(1, topology.n_nodes)}
+    for (j, i), c in sorted(topology.edges.items()):
+        head = realized_path(pred, j)
+        if i != 0:
+            out[i] += [(j, head + (i,))] * c
+    return out
+
+
+def brute_vulnerabilities(topology, pred):
+    """V_i and S_v recomputed by walking each realized path."""
+    n = topology.n_nodes
     v_arr = np.zeros(n, dtype=np.int64)
     s_arr = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        per_v = Counter()
-        for _, _, path in table.paths(i):
-            for v in path[1:-1]:
-                if v != i:
-                    per_v[v] += 1
+    for i, paths in realized_paths(topology, pred).items():
+        per_v = Counter(v for _, path in paths for v in path[1:-1] if v != i)
         v_arr[i] = max(per_v.values(), default=0)
         for v, c in per_v.items():
             s_arr[v] += c

@@ -35,6 +35,8 @@ from bruteforce import (
     brute_vulnerabilities,
     heap_dijkstra,
     heap_tree_delay,
+    realized_path,
+    realized_paths,
     sorted_edge_arrays,
 )
 
@@ -138,8 +140,7 @@ def test_shortest_path_tie_breaks_to_lowest_predecessor():
     dist, pred = shortest_paths(t, space)
     assert dist[3] == 3.0
     assert pred[3] == 1
-    table = PathTable.build(t, space, m=4)
-    paths = [p for _, _, p in table.paths(3)]
+    paths = [p for _, p in realized_paths(t, pred)[3]]
     assert paths == [(0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 2, 3)]
 
 
@@ -149,15 +150,48 @@ def test_path_table_structure():
     space, caps, t = res
     table = PathTable.build(t, space)
     assert table.m == 4
-    dist, _ = shortest_paths(t, space)
-    for i in range(1, 25):
-        paths = table.paths(i)
+    dist, pred = shortest_paths(t, space)
+    for i, paths in realized_paths(t, pred).items():
         assert len(paths) == 4  # one entry per connection
-        for j, delay, path in paths:
+        for j, path in paths:
             assert path[0] == 0 and path[-1] == i and path[-2] == j
-            assert delay == dist[j] + space.delay(j, i)
         # the best connection delay is exactly the node's overlay distance
-        assert min(delay for _, delay, _ in paths) == dist[i]
+        assert min(dist[j] + space.delay(j, i) for j, _ in paths) == dist[i]
+    # The table's tree indexes agree with the walks up pred.
+    walks = [realized_path(pred, v) for v in range(25)]
+    for v, walk in enumerate(walks):
+        assert table.top[v] == walk[min(1, v)]
+        assert table.top2[v] == walk[min(2, len(walk) - 1)]
+        below = {u for u in range(25) if v in walks[u]}
+        in_subtree = (table.pos[v] <= table.pos) & (table.pos < table.pos[v] + table.size[v])
+        assert set(np.flatnonzero(in_subtree).tolist()) == below
+    assert sorted(table.pos.tolist()) == list(range(25))
+    # Only connections between two peers are kept.
+    assert sorted(zip(table.ul.tolist(), table.dl.tolist(), table.mult.tolist())) == sorted(
+        (j, i, c) for (j, i), c in t.edges.items() if j
+    )
+
+
+def test_connections_into_the_peercaster_carry_no_path():
+    # Node 2 sends 3 units back to the peercaster: no substream path ends
+    # there, so node 1 sits on node 2's 4 paths only.
+    space, _ = chain_fixture()
+    t = topo(3, {(0, 1): 4, (1, 2): 4, (2, 0): 3})
+    report = compute_metrics(t, space, 4)
+    assert report.sys_vuln.tolist() == [0, 4, 0]
+    assert report.max_sys_vuln == 0.5
+    assert report.node_vuln.tolist() == [0, 0, 4]
+
+
+def test_path_table_rejects_an_unreachable_node_with_connections():
+    space = DelaySpace(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
+    t = topo(4, {(0, 1): 4, (2, 1): 1, (0, 3): 4})
+    with pytest.raises(ValueError, match="node 2 is unreachable"):
+        PathTable.build(t, space, m=4)
+    # An unreachable node with no connection at all has nothing to walk.
+    lone = PathTable.build(topo(4, {(0, 1): 4, (1, 3): 4}), space, m=4)
+    assert node_vulnerability(lone)[0].tolist() == [0, 0, 0, 4]
+    assert system_vulnerability(lone)[0].tolist() == [0, 4, 0, 0]
 
 
 def test_min_delay_reports_inf_for_unreachable():
@@ -206,19 +240,83 @@ def test_max_flow_hand_instances():
     assert brute_min_cut(diamond, 3) == 4
 
 
+def built_cases():
+    """(space, topology, M) for every policy and distribution, M = 1..6, u0
+    at M or 16, capacities that include 0; stuck builds are skipped."""
+    for m in range(1, 7):
+        for code in ALL_POLICY_CODES:
+            for kind in KINDS:
+                seed = derive_seed(m, code, kind)
+                n = 20 + seed % 21
+                space = generate(DistributionSpec.preset(kind, n, seed))
+                u0 = m if seed % 2 else 16
+                caps = CapacityProfile.sample(
+                    n, make_rng(seed, "capacities"), (0, 1, 5, 10, 16), u0
+                )
+                try:
+                    t = build(space, caps, PolicySpec.from_code(code), m, seed)
+                except AdmissionStuck:
+                    continue
+                yield space, t, m
+
+
+def random_path_case(rng):
+    """(space, topology, M) with n in 2..8 and M in 1..6 from
+    :func:`random_multigraph` (cycles, self-loops, edges into node 0); half
+    the spaces put nodes on shared coordinates, and some graphs have one
+    peer stripped of every connection."""
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 7))
+    edges = random_multigraph(rng, n, m).edges
+    if rng.random() < 0.2:
+        lone = int(rng.integers(1, n))
+        edges = {e: c for e, c in edges.items() if lone not in e}
+    if rng.random() < 0.5:
+        spots = rng.random((int(rng.integers(1, n + 1)), 2)).round(1)
+        coords = spots[rng.integers(0, len(spots), size=n)]
+    else:
+        coords = rng.random((n, 2))
+    return DelaySpace(coords), topo(n, edges), m
+
+
 def test_vulnerabilities_match_path_walks():
+    def check(space, t, m):
+        table = PathTable.build(t, space, m)
+        v_brute, s_brute = brute_vulnerabilities(t, table.pred)
+        assert np.array_equal(node_vulnerability(table)[0], v_brute)
+        assert np.array_equal(system_vulnerability(table)[0], s_brute)
+
     for code in ("GR", "FCN", "GDD", "FDS", "GCS"):
         for seed in (1, 2, 3):
             res = random_feasible(seed, 40, code)
-            if res is None:
-                continue
-            space, _, t = res
-            table = PathTable.build(t, space)
-            v_fast, _ = node_vulnerability(table)
-            s_fast, _ = system_vulnerability(table)
-            v_brute, s_brute = brute_vulnerabilities(table)
-            assert np.array_equal(v_fast, v_brute)
-            assert np.array_equal(s_fast, s_brute)
+            if res is not None:
+                check(res[0], res[2], 4)
+    built = 0
+    for case in built_cases():
+        check(*case)
+        built += 1
+    assert built >= 200, built
+
+    rng = np.random.default_rng(8)
+    seen = dict.fromkeys(["into_peercaster", "own_ancestor", "self_loop", "isolated",
+                          "unreachable"], 0)
+    for _ in range(3000):
+        space, t, m = random_path_case(rng)
+        _, pred = shortest_paths(t, space)
+        try:
+            paths = realized_paths(t, pred)
+        except ValueError:
+            with pytest.raises(ValueError, match="unreachable"):
+                PathTable.build(t, space, m)
+            seen["unreachable"] += 1
+            continue
+        check(space, t, m)
+        seen["into_peercaster"] += any(i == 0 for _, i in t.edges)
+        seen["own_ancestor"] += any(i in p[1:-2] for i, ps in paths.items() for _, p in ps)
+        seen["self_loop"] += any(j == i for j, i in t.edges)
+        touched = {v for e in t.edges for v in e}
+        seen["isolated"] += len(touched) < t.n_nodes
+    assert min(seen.values()) >= 100, seen
 
 
 def test_vulnerability_duality():
@@ -231,8 +329,8 @@ def test_vulnerability_duality():
     s_arr, _ = system_vulnerability(table)
     per_path_total = sum(
         sum(1 for v in path[1:-1] if v != i)
-        for i in range(1, 30)
-        for _, _, path in table.paths(i)
+        for i, paths in realized_paths(t, table.pred).items()
+        for _, path in paths
     )
     assert int(s_arr.sum()) == per_path_total
 
@@ -269,27 +367,14 @@ def test_built_topologies_match_heap_dijkstra_bit_for_bit():
     # Every policy and distribution, M = 1..6, u0 at M or 16, capacities
     # that include 0.
     built = 0
-    for m in range(1, 7):
-        for code in ALL_POLICY_CODES:
-            for kind in KINDS:
-                seed = derive_seed(m, code, kind)
-                n = 20 + seed % 21
-                space = generate(DistributionSpec.preset(kind, n, seed))
-                u0 = m if seed % 2 else 16
-                caps = CapacityProfile.sample(
-                    n, make_rng(seed, "capacities"), (0, 1, 5, 10, 16), u0
-                )
-                try:
-                    t = build(space, caps, PolicySpec.from_code(code), m, seed)
-                except AdmissionStuck:
-                    continue
-                ul, dl, w, _ = sorted_edge_arrays(t, space)
-                ref_dist, ref_pred = heap_dijkstra(n, ul, dl, w)
-                dist, pred = shortest_paths(t, space)
-                assert np.array_equal(dist, ref_dist)
-                assert np.array_equal(pred, ref_pred)
-                assert_same_tree_delay(t, space, m)
-                built += 1
+    for space, t, m in built_cases():
+        ul, dl, w, _ = sorted_edge_arrays(t, space)
+        ref_dist, ref_pred = heap_dijkstra(t.n_nodes, ul, dl, w)
+        dist, pred = shortest_paths(t, space)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred, ref_pred)
+        assert_same_tree_delay(t, space, m)
+        built += 1
     assert built >= 200, built
 
 

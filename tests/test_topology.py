@@ -457,3 +457,20 @@ def test_build_validation_errors():
     state = BuildState(space, CapacityProfile(np.array([16, 16])), PolicySpec.from_code("GR"), 4, seed=0)
     with pytest.raises(ValueError):  # wrong uploader count
         state.update_after_admission(1, [0, 0])
+
+
+def test_overflowing_coordinate_extents_are_rejected():
+    overflowing = [
+        ([[-1e308, 0.0], [1e308, 0.0], [1e308, 1.0]], 16),  # the extent overflows
+        ([[0.0, 0.0], [1e308, 0.0], [0.0, 0.0]], 4),  # finite extent, scores overflow
+    ]
+    for coords, u0 in overflowing:
+        space = DelaySpace(np.array(coords))
+        caps = CapacityProfile(np.array([u0, 16, 16]))
+        for code in ALL_POLICY_CODES:
+            with pytest.raises(ValueError, match="too wide"):
+                build(space, caps, PolicySpec.from_code(code), 4)
+    # Generated spaces stay far inside the bound.
+    for kind in KINDS:
+        wide = generate(DistributionSpec.preset(kind, 5000, 0))
+        BuildState(wide, CapacityProfile(np.full(5000, 16)), PolicySpec.from_code("FDD"), 6)
