@@ -92,14 +92,13 @@ class DelaySpace:
     """
 
     def __init__(self, coords: np.ndarray, kind: str = FLAT, cluster_count: int | None = None):
-        coords = np.asarray(coords, dtype=np.float64)
+        coords = np.array(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 1:
             raise ValueError("coords must be an (n, 2) array with n >= 1")
         finite = np.isfinite(coords).all(axis=1)
         if not finite.all():
             row = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"coordinates must be finite; row {row} is {coords[row].tolist()}")
-        coords = coords.copy()
         coords.flags.writeable = False
         self._coords = coords
         columns = coords.T.copy()
@@ -153,9 +152,7 @@ class DelaySpace:
         """Write the space as ``node,x,y`` rows, node 0 (the peercaster) first."""
         with open(path, "w", encoding="ascii", newline="\n") as f:
             f.write("node,x,y\n")
-            for i in range(self.n_nodes):
-                x = float(self._coords[i, 0])
-                y = float(self._coords[i, 1])
+            for i, (x, y) in enumerate(self._coords.tolist()):
                 f.write(f"{i},{x!r},{y!r}\n")
 
 

@@ -17,12 +17,10 @@ Config files are flat ``key=value`` text::
     policies=FCS,GDN
     sizes=10,20,50
     runs=3
-    M=4
-    u0=16
-    capacities=1,5,10,16
 
-The master seed and output directory come from the command line (or the
-caller), not the config file.
+plus the optional ``M``, ``u0`` and ``capacities``, which default to
+:class:`SimParams`'s. The master seed and output directory come from the
+command line (or the caller), not the config file.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from itertools import starmap
 import numpy as np
 from scipy import stats
 
-from .delay_space import KINDS, DistributionSpec, generate
+from .delay_space import KINDS, DelaySpace, DistributionSpec, generate
 from .metrics import compute_metrics, verify_feasible
 from .rng import derive_seed, make_rng
 from .topology import (
@@ -58,8 +56,6 @@ RESULTS_HEADER = (
 AGG_HEADER = "policy,distribution,n,metric,mean,ci95_halfwidth,k"
 METRIC_COLUMNS = ("min_delay_mean_s", "tree_delay_mean_s", "mean_node_vuln", "max_sys_vuln")
 
-#: Grid sizes used by the default full experiment (capped for desk-scale runs).
-DEFAULT_GRID_SIZES = (10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 #: Seed of the built-in demo grid, chosen so every demo cell builds feasibly.
 DEMO_SEED = 7
 
@@ -116,17 +112,6 @@ class ExperimentConfig:
                 raise ValueError(f"duplicate entries in {name}: {values}")
 
     @classmethod
-    def default_grid(cls, master_seed: int = 0) -> "ExperimentConfig":
-        """All distributions, all 14 policies, the capped size ladder, 3 runs."""
-        return cls(
-            distributions=KINDS,
-            policies=ALL_POLICY_CODES,
-            sizes=DEFAULT_GRID_SIZES,
-            runs=3,
-            master_seed=master_seed,
-        )
-
-    @classmethod
     def demo_grid(cls, master_seed: int = DEMO_SEED) -> "ExperimentConfig":
         """A small grid that exercises every distribution and policy in seconds."""
         return cls(
@@ -164,7 +149,8 @@ def config_from_mapping(
     sizes_override: tuple[int, ...] | None = None,
     policies_override: tuple[str, ...] | None = None,
 ) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from parsed config keys."""
+    """Build an :class:`ExperimentConfig` from parsed config keys; an
+    override replaces its key even when empty."""
     unknown = set(mapping) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}; expected {sorted(_CONFIG_KEYS)}")
@@ -175,22 +161,28 @@ def config_from_mapping(
     def _csv_list(key: str) -> tuple[str, ...]:
         return tuple(part.strip() for part in mapping[key].split(",") if part.strip())
 
-    sim = SimParams(
-        m=int(mapping.get("M", 4)),
-        u0=int(mapping.get("u0", 16)),
-        capacity_choices=(
-            tuple(int(c) for c in mapping["capacities"].split(","))
-            if "capacities" in mapping
-            else (1, 5, 10, 16)
-        ),
-    )
+    def _int(key: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"config key {key}: expected an integer, got {text!r}") from None
+
+    # Only the keys present: SimParams supplies the rest.
+    sim = {f: _int(k, mapping[k]) for k, f in (("M", "m"), ("u0", "u0")) if k in mapping}
+    if "capacities" in mapping:
+        sim["capacity_choices"] = tuple(_int("capacities", c) for c in mapping["capacities"].split(","))
+    policies, sizes = policies_override, sizes_override
+    if policies is None:
+        policies = tuple(p.upper() for p in _csv_list("policies"))
+    if sizes is None:
+        sizes = tuple(_int("sizes", s) for s in _csv_list("sizes"))
     return ExperimentConfig(
         distributions=_csv_list("distributions"),
-        policies=policies_override or tuple(p.upper() for p in _csv_list("policies")),
-        sizes=sizes_override or tuple(int(s) for s in _csv_list("sizes")),
-        runs=int(mapping["runs"]),
+        policies=policies,
+        sizes=sizes,
+        runs=_int("runs", mapping["runs"]),
         master_seed=master_seed,
-        sim=sim,
+        sim=SimParams(**sim),
     )
 
 
@@ -238,17 +230,25 @@ def iter_cells(config: ExperimentConfig):
                     yield (policy, dist, n, run)
 
 
+def cell_inputs(
+    policy: str, distribution: str, n: int, run: int, master_seed: int, sim: SimParams
+) -> tuple[int, DelaySpace, CapacityProfile, PolicySpec]:
+    """A cell's seed, delay space, capacities and policy, derived in one place."""
+    seed = cell_seed(master_seed, policy, distribution, n, run)
+    space = generate(DistributionSpec.preset(distribution, n, seed))
+    caps = CapacityProfile.sample(n, make_rng(seed, "capacities"), sim.capacity_choices, sim.u0)
+    return seed, space, caps, PolicySpec.from_code(policy)
+
+
 def run_cell(
     policy: str, distribution: str, n: int, run: int, master_seed: int, sim: SimParams
 ) -> CellResult:
     """Generate, build, verify and measure a single cell. A stuck admission
     gives a failed row; a built topology that fails verification is a program
     fault and raises :class:`TopologyBuildError` naming the cell."""
-    seed = cell_seed(master_seed, policy, distribution, n, run)
-    space = generate(DistributionSpec.preset(distribution, n, seed))
-    caps = CapacityProfile.sample(n, make_rng(seed, "capacities"), sim.capacity_choices, sim.u0)
+    seed, space, caps, spec = cell_inputs(policy, distribution, n, run, master_seed, sim)
     try:
-        topo = build(space, caps, PolicySpec.from_code(policy), sim.m, seed)
+        topo = build(space, caps, spec, sim.m, seed)
     except AdmissionStuck:
         return CellResult(policy, distribution, n, run, seed, None, None, None, None, True)
     feasible = verify_feasible(topo, caps, sim.m)

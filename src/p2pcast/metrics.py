@@ -110,6 +110,7 @@ def tree_delay(topology: Topology, space: DelaySpace, m: int) -> tuple[np.ndarra
     """
     n = topology.n_nodes
     ul, dl, w, mult = _edge_arrays(topology, space)
+    mult = mult.copy()  # the tree edges are removed from this copy
     keys = ul * n + dl  # sorted, as the edges are
     for _ in range(m - 1):
         live = mult > 0

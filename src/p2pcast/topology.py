@@ -172,19 +172,20 @@ class Topology:
     def __init__(self, n_nodes: int, edges: dict[tuple[int, int], int], residual_u: np.ndarray):
         self.n_nodes = int(n_nodes)
         self.edges = edges
-        residual_u = np.asarray(residual_u, dtype=np.int64).copy()
-        residual_u.flags.writeable = False
-        self.residual_u = residual_u
+        self.residual_u = np.array(residual_u, dtype=np.int64)
+        self.residual_u.flags.writeable = False
+        pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+        mult = np.fromiter(edges.values(), np.int64, len(edges))
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        arrays = np.stack([pairs[order, 0], pairs[order, 1], mult[order]])
+        arrays.flags.writeable = False
+        self._edge_arrays = tuple(arrays)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(uploader, downloader, multiplicity) int64 arrays, one entry per
         distinct edge, sorted by (uploader, downloader): the canonical edge
-        order every consumer reads."""
-        e = len(self.edges)
-        pairs = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * e).reshape(e, 2)
-        mult = np.fromiter(self.edges.values(), np.int64, e)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order, 0], pairs[order, 1], mult[order]
+        order every consumer reads. Built once, from ``edges`` as given; read-only."""
+        return self._edge_arrays
 
     def in_multiplicity(self) -> np.ndarray:
         _, dl, mult = self.edge_arrays()

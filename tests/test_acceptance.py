@@ -9,6 +9,7 @@ the complete 1134-cell grid for real.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from p2pcast.delay_space import KINDS
 from p2pcast.harness import (
     ExperimentConfig,
     SimParams,
-    cell_seed,
+    cell_inputs,
+    config_from_mapping,
     mean_ci95,
+    parse_config,
     run_cell,
     run_experiment,
 )
@@ -43,6 +46,8 @@ from bruteforce import brute_min_cut, brute_shortest_paths
 ACCEPT_SEED = 0
 SWEEP_SIZES = (10, 50, 200, 1000)
 SWEEP_RUNS = 5
+SIM = SimParams()
+FULL_GRID = Path(__file__).resolve().parents[1] / "configs" / "full_grid.cfg"
 
 NO_DIVERSITY = ("FCN", "GCN", "FDN", "GDN")
 DIVERSITY = ("FCD", "GCD", "FDD", "GDD")
@@ -64,21 +69,19 @@ def sweep():
         for dist in KINDS:
             for n in SWEEP_SIZES:
                 for run in range(SWEEP_RUNS):
-                    seed = cell_seed(ACCEPT_SEED, policy, dist, n, run)
-                    space = generate(DistributionSpec.preset(dist, n, seed))
-                    caps = CapacityProfile.sample(n, make_rng(seed, "capacities"))
+                    seed, space, caps, spec = cell_inputs(policy, dist, n, run, ACCEPT_SEED, SIM)
                     t0 = time.perf_counter()
                     try:
-                        topo = build(space, caps, PolicySpec.from_code(policy), 4, seed)
+                        topo = build(space, caps, spec, SIM.m, seed)
                     except AdmissionStuck:
                         build_verify_s += time.perf_counter() - t0
                         cells.append(
                             dict(policy=policy, dist=dist, n=n, run=run, built=False)
                         )
                         continue
-                    ok = bool(verify_feasible(topo, caps, 4).ok)
+                    ok = bool(verify_feasible(topo, caps, SIM.m).ok)
                     build_verify_s += time.perf_counter() - t0
-                    m = compute_metrics(topo, space, 4)
+                    m = compute_metrics(topo, space, SIM.m)
                     cells.append(
                         dict(
                             policy=policy, dist=dist, n=n, run=run, built=True,
@@ -260,11 +263,9 @@ def test_criterion_7_determinism_and_performance(tmp_path):
     fresh_ok = fresh_ok and (fresh / "agg.csv").read_bytes() == agg
 
     # (b) one GDD build at n = 5000 within 60 s
-    seed = cell_seed(ACCEPT_SEED, "GDD", "flat", 5000, 0)
-    space = generate(DistributionSpec.preset("flat", 5000, seed))
-    caps = CapacityProfile.sample(5000, make_rng(seed, "capacities"))
+    seed, space, caps, spec = cell_inputs("GDD", "flat", 5000, 0, ACCEPT_SEED, SIM)
     t0 = time.perf_counter()
-    build(space, caps, PolicySpec.from_code("GDD"), 4, seed)
+    build(space, caps, spec, SIM.m, seed)
     gdd_s = time.perf_counter() - t0
     gdd_ok = gdd_s <= 60.0
 
@@ -275,7 +276,8 @@ def test_criterion_7_determinism_and_performance(tmp_path):
     # sum to 0.78 * 5000 nodes, so even a cost model linear in n adds < 0.8x.
     if os.environ.get("P2PCAST_FULL_GRID") == "1":
         t0 = time.perf_counter()
-        run_experiment(ExperimentConfig.default_grid(ACCEPT_SEED), tmp_path / "grid")
+        grid = config_from_mapping(parse_config(FULL_GRID.read_text()), ACCEPT_SEED)
+        run_experiment(grid, tmp_path / "grid")
         grid_s = time.perf_counter() - t0
         grid_detail = f"full grid ran in {grid_s:.0f}s"
     else:

@@ -88,6 +88,30 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
 
+@pytest.mark.parametrize(
+    "key, value, bad",
+    [("M", "abc", "abc"), ("u0", "", ""), ("runs", "two", "two"), ("sizes", "10,x", "x"),
+     ("capacities", "1,,5", "")],
+)
+def test_run_names_the_config_key_that_is_not_an_integer(tmp_path, capsys, key, value, bad):
+    mapping = {"distributions": "flat", "policies": "GR", "sizes": "10", "runs": "1", key: value}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in mapping.items()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config key {key}: expected an integer, got {bad!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--sizes", "--policies"])
+def test_run_rejects_an_empty_override(config_file, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out), flag, ""]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: distributions, policies and sizes must all be non-empty\n"
+    assert not out.exists()
+
+
 def test_run_reports_malformed_results_without_traceback(config_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0

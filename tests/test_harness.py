@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p2pcast import harness
+from p2pcast import CapacityProfile, DistributionSpec, PolicySpec, generate, harness, make_rng
+from p2pcast.delay_space import KINDS
 from p2pcast.harness import (
     AGG_HEADER,
-    DEFAULT_GRID_SIZES,
     METRIC_COLUMNS,
     RESULTS_HEADER,
     AggregateRow,
@@ -22,6 +22,7 @@ from p2pcast.harness import (
     ExperimentConfig,
     SimParams,
     aggregate,
+    cell_inputs,
     cell_seed,
     config_from_mapping,
     iter_cells,
@@ -33,7 +34,7 @@ from p2pcast.harness import (
     write_aggregate_csv,
 )
 from p2pcast.rng import derive_seed
-from p2pcast.topology import Topology, TopologyBuildError, build
+from p2pcast.topology import ALL_POLICY_CODES, Topology, TopologyBuildError, build
 
 TINY = ExperimentConfig(
     distributions=("flat", "tight"),
@@ -122,8 +123,11 @@ def test_sim_params_validation():
 
 
 def test_default_grid_shape():
-    cfg = ExperimentConfig.default_grid()
-    assert cfg.sizes == DEFAULT_GRID_SIZES
+    path = Path(__file__).resolve().parents[1] / "configs" / "full_grid.cfg"
+    cfg = config_from_mapping(parse_config(path.read_text()))
+    assert cfg.distributions == KINDS and cfg.policies == ALL_POLICY_CODES
+    assert cfg.sizes == (10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+    assert cfg.runs == 3 and cfg.sim == SimParams()
     cells = list(iter_cells(cfg))
     assert len(cells) == 3 * 14 * 9 * 3 == 1134
     assert len(set(cells)) == len(cells)
@@ -175,6 +179,18 @@ def test_cell_seed_is_documented_derivation():
     assert base != cell_seed(1, "GR", "loose", 20, 0)
     assert base != cell_seed(1, "GR", "tight", 21, 0)
     assert base != cell_seed(1, "GR", "tight", 20, 1)
+
+
+def test_cell_inputs_follow_sim():
+    sim = SimParams(m=6, u0=6, capacity_choices=(0, 1, 5, 16))
+    seed, space, caps, spec = cell_inputs("GDS", "loose", 40, 2, 11, sim)
+    assert seed == cell_seed(11, "GDS", "loose", 40, 2)
+    want = generate(DistributionSpec.preset("loose", 40, seed))
+    assert space.coords.tobytes() == want.coords.tobytes()
+    want_u = CapacityProfile.sample(40, make_rng(seed, "capacities"), (0, 1, 5, 16), 6).u
+    assert np.array_equal(caps.u, want_u)
+    assert caps.u[0] == 6 and 0 in caps.u
+    assert spec == PolicySpec.from_code("GDS")
 
 
 def test_run_cell_success_row():

@@ -431,6 +431,18 @@ def test_topology_accessors_and_csv_round_trip(tmp_path):
     assert np.array_equal(loaded_caps.u, caps.u)
 
 
+def test_edge_arrays_are_sorted_once_and_read_only():
+    space = generate(DistributionSpec.preset("flat", 20, 6))
+    caps = CapacityProfile.sample(20, make_rng(6, "capacities"))
+    topo = build(space, caps, PolicySpec.from_code("GDD"), 4, 6)
+    arrays = topo.edge_arrays()
+    assert all(a is b for a, b in zip(arrays, topo.edge_arrays()))
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert sorted(topo.edges.items()) == [((j, i), c) for j, i, c in zip(*(a.tolist() for a in arrays))]
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 def test_read_topology_csv_rejects_non_positive_multiplicity(tmp_path, bad):
     edges_path = tmp_path / "topo.csv"
