@@ -2,7 +2,7 @@
 Building feasible topologies under different policies
 =====================================================
 
-Every peer must download all M=4 substreams, upload no more than its
+Every peer must download all M substreams, upload no more than its
 capacity allows, and keep M edge-disjoint paths back to the peercaster.
 This script builds the same 40-node flat delay space under a few of the 14
 policies and shows how policy choice changes the shape of the overlay.
@@ -14,6 +14,7 @@ from p2pcast import (
     CapacityProfile,
     DistributionSpec,
     PolicySpec,
+    SimParams,
     build,
     generate,
     make_rng,
@@ -22,11 +23,12 @@ from p2pcast import (
 
 SEED = 11
 N = 40
-M = 4
+SIM = SimParams()  # the defaults every experiment cell uses
+M = SIM.m
 
 space = generate(DistributionSpec.preset("flat", N, SEED))
-caps = CapacityProfile.sample(N, make_rng(SEED, "capacities"))
-print(f"{N} nodes; peer capacities sampled from {{1,5,10,16}}, "
+caps = CapacityProfile.sample(N, make_rng(SEED, "capacities"), SIM.capacity_choices, SIM.u0)
+print(f"{N} nodes, M={M}; peer capacities sampled from {list(SIM.capacity_choices)}, "
       f"peercaster fixed at {caps.u[0]}")
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ for code in ("FCS", "FDN", "GDD", "GR"):
           f"{sum(topo.edges.values())} connections")
     print(f"  mean connection delay {np.mean(delays):.4f} s, "
           f"max {np.max(delays):.4f} s")
-    print(f"  peercaster uploads {fan_out[0]}/16; "
+    print(f"  peercaster uploads {fan_out[0]}/{SIM.u0}; "
           f"busiest peer uploads {fan_out[1:].max()}")
     print(f"  feasibility: in-degree M, capacities, M disjoint paths -> ok")
 
@@ -61,7 +63,7 @@ print(f"\nFR and GR edge sets identical: {fr.edges == gr.edges}")
 # spare-bandwidth pool F is exhausted, nobody passes the u_i + F >= M guard.
 from p2pcast import AdmissionStuck
 
-starved = CapacityProfile(np.array([16] + [1] * (N - 1)))
+starved = CapacityProfile(np.array([SIM.u0] + [1] * (N - 1)))
 try:
     build(space, starved, PolicySpec.from_code("GR"), M, SEED)
 except AdmissionStuck as exc:

@@ -16,6 +16,7 @@ from p2pcast import (
     CapacityProfile,
     DistributionSpec,
     PolicySpec,
+    SimParams,
     build,
     compute_metrics,
     generate,
@@ -25,10 +26,11 @@ from p2pcast import (
 
 SEED = 5
 N = 30
-M = 4
+SIM = SimParams()  # the defaults every experiment cell uses
+M = SIM.m
 
 space = generate(DistributionSpec.preset("tight", N, SEED))
-caps = CapacityProfile.sample(N, make_rng(SEED, "capacities"))
+caps = CapacityProfile.sample(N, make_rng(SEED, "capacities"), SIM.capacity_choices, SIM.u0)
 topo = build(space, caps, PolicySpec.from_code("GDN"), M, SEED)
 
 report = compute_metrics(topo, space, M)

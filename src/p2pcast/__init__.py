@@ -19,7 +19,6 @@ from .harness import (
     AggregateRow,
     CellResult,
     ExperimentConfig,
-    SimParams,
     aggregate,
     cell_seed,
     mean_ci95,
@@ -47,6 +46,7 @@ from .topology import (
     CapacityExhausted,
     CapacityProfile,
     PolicySpec,
+    SimParams,
     Topology,
     TopologyBuildError,
     build,

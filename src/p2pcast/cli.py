@@ -10,7 +10,9 @@ Subcommands:
 * ``demo`` — run a small built-in grid end to end and verify every cell.
 
 Exit 1 means an infeasible topology (from ``verify``, or built by a cell of
-``run`` or ``demo``) or a stuck ``demo`` cell; exit 2 means bad input.
+``run`` or ``demo``) or a stuck ``demo`` cell; exit 2 means bad input. Every
+subcommand reports an error the same way: :func:`main` prints ``error: ...``
+and maps :class:`TopologyBuildError` to 1 and ``OSError``/``ValueError`` to 2.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 def _progress(stream):
     count, t0 = itertools.count(1), time.perf_counter()
 
@@ -49,36 +47,21 @@ def _progress(stream):
     return report
 
 
-def _sweep(config: harness.ExperimentConfig, args) -> list[harness.CellResult] | int:
-    """The grid's cell results, or the exit code after printing the error."""
-    try:
-        results, _ = harness.run_experiment(
-            config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
-        )
-    except (OSError, ValueError, TopologyBuildError) as exc:
-        # An unwritable --out or a results.csv that cannot be resumed is bad
-        # input (2); a built topology that fails verification is a program fault (1).
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, TopologyBuildError) else 2
+def _sweep(config: harness.ExperimentConfig, args) -> list[harness.CellResult]:
+    results, _ = harness.run_experiment(
+        config, args.out, parallel=args.parallel, progress=_progress(sys.stderr)
+    )
     return results
 
 
 def _cmd_run(args) -> int:
-    try:
-        with open(args.config) as f:
-            mapping = harness.parse_config(f.read())
-        config = harness.config_from_mapping(
-            mapping,
-            master_seed=args.seed,
-            sizes_override=args.sizes,
-            policies_override=args.policies,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = _sweep(config, args)
-    if isinstance(results, int):
-        return results
+    with open(args.config) as f:
+        mapping = harness.parse_config(f.read())
+    # An override replaces its config key, even when empty.
+    for key in ("sizes", "policies"):
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
+    results = _sweep(harness.config_from_mapping(mapping, master_seed=args.seed), args)
     failed = sum(r.failed for r in results)
     print(
         f"{len(results)} cells in {os.path.join(args.out, 'results.csv')} "
@@ -88,11 +71,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    try:
-        results = harness.read_results_csv(args.raw)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = harness.read_results_csv(args.raw)
     out_dir = args.out if args.out is not None else (os.path.dirname(args.raw) or ".")
     os.makedirs(out_dir, exist_ok=True)
     rows = harness.aggregate(results)
@@ -103,14 +82,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.m < 1:
-        print(f"error: M must be at least 1, got {args.m}", file=sys.stderr)
-        return 2
-    try:
-        topology, caps = read_topology_csv(args.edges, args.capacities)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    topology, caps = read_topology_csv(args.edges, args.capacities)
     report = verify_feasible(topology, caps, args.m)
     if report.ok:
         print(f"feasible: {topology.n_nodes} nodes, M={args.m}")
@@ -133,8 +105,6 @@ def _cmd_distributions(args) -> int:
 
 def _cmd_demo(args) -> int:
     results = _sweep(harness.ExperimentConfig.demo_grid(args.seed), args)
-    if isinstance(results, int):
-        return results
     stuck = [r for r in results if r.failed]
     if stuck:
         cells = "".join(f"\n  {r.policy}/{r.distribution}/n={r.n}/run={r.run}" for r in stuck)
@@ -156,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_run.add_argument("--out", default="results", help="output directory (default results)")
     p_run.add_argument("--parallel", type=int, default=1, help="worker processes (default 1)")
-    p_run.add_argument("--sizes", type=_int_list, default=None, help="override config sizes")
-    p_run.add_argument("--policies", type=_str_list, default=None, help="override config policies")
+    p_run.add_argument("--sizes", default=None, help="override config sizes")
+    p_run.add_argument("--policies", default=None, help="override config policies")
     p_run.set_defaults(func=_cmd_run)
 
     p_agg = sub.add_parser("aggregate", help="recompute aggregates from a raw results CSV")
@@ -168,7 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a topology CSV for feasibility")
     p_verify.add_argument("edges", help="uploader,downloader,multiplicity CSV")
     p_verify.add_argument("capacities", help="node,u,residual_u sidecar CSV")
-    p_verify.add_argument("--m", type=int, default=4, help="substream count M (default 4)")
+    p_verify.add_argument(
+        "--m", type=int, default=harness.SimParams.m,
+        help=f"substream count M (default {harness.SimParams.m})",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_dist = sub.add_parser("distributions", help="write sample delay spaces as CSV")
@@ -190,7 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TopologyBuildError as exc:  # a built topology failed verification
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .topology import (
     AdmissionStuck,
     CapacityProfile,
     PolicySpec,
+    SimParams,
     TopologyBuildError,
     build,
 )
@@ -58,25 +59,6 @@ METRIC_COLUMNS = ("min_delay_mean_s", "tree_delay_mean_s", "mean_node_vuln", "ma
 
 #: Seed of the built-in demo grid, chosen so every demo cell builds feasibly.
 DEMO_SEED = 7
-
-
-@dataclass(frozen=True)
-class SimParams:
-    """Per-build parameters shared by every cell."""
-
-    m: int = 4
-    u0: int = 16
-    capacity_choices: tuple[int, ...] = (1, 5, 10, 16)
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("M must be at least 1")
-        if self.u0 < self.m:
-            raise ValueError(f"u0={self.u0} cannot be below M={self.m}")
-        ch = tuple(int(c) for c in self.capacity_choices)
-        if not ch or any(c < 0 for c in ch):
-            raise ValueError("capacities must be a non-empty list of non-negative ints")
-        object.__setattr__(self, "capacity_choices", ch)
 
 
 @dataclass(frozen=True)
@@ -96,8 +78,9 @@ class ExperimentConfig:
         for d in self.distributions:
             if d not in KINDS:
                 raise ValueError(f"unknown distribution {d!r}; expected one of {KINDS}")
-        for p in self.policies:
-            PolicySpec.from_code(p)  # raises on unknown codes
+        # One spelling per policy: its canonical code (raises on unknown codes).
+        policies = tuple(PolicySpec.from_code(p).code for p in self.policies)
+        object.__setattr__(self, "policies", policies)
         for n in self.sizes:
             if n < 2:
                 raise ValueError(f"size {n} is too small; need the peercaster plus a peer")
@@ -143,14 +126,8 @@ def parse_config(text: str) -> dict[str, str]:
 _CONFIG_KEYS = {"distributions", "policies", "sizes", "runs", "M", "u0", "capacities"}
 
 
-def config_from_mapping(
-    mapping: dict[str, str],
-    master_seed: int = 0,
-    sizes_override: tuple[int, ...] | None = None,
-    policies_override: tuple[str, ...] | None = None,
-) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from parsed config keys; an
-    override replaces its key even when empty."""
+def config_from_mapping(mapping: dict[str, str], master_seed: int = 0) -> ExperimentConfig:
+    """Build an :class:`ExperimentConfig` from parsed config keys."""
     unknown = set(mapping) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}; expected {sorted(_CONFIG_KEYS)}")
@@ -171,15 +148,10 @@ def config_from_mapping(
     sim = {f: _int(k, mapping[k]) for k, f in (("M", "m"), ("u0", "u0")) if k in mapping}
     if "capacities" in mapping:
         sim["capacity_choices"] = tuple(_int("capacities", c) for c in mapping["capacities"].split(","))
-    policies, sizes = policies_override, sizes_override
-    if policies is None:
-        policies = tuple(p.upper() for p in _csv_list("policies"))
-    if sizes is None:
-        sizes = tuple(_int("sizes", s) for s in _csv_list("sizes"))
     return ExperimentConfig(
         distributions=_csv_list("distributions"),
-        policies=policies,
-        sizes=sizes,
+        policies=_csv_list("policies"),
+        sizes=tuple(_int("sizes", s) for s in _csv_list("sizes")),
         runs=_int("runs", mapping["runs"]),
         master_seed=master_seed,
         sim=SimParams(**sim),
@@ -280,6 +252,10 @@ def read_results_csv(path) -> list[CellResult]:
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
                 if r["failed"] not in ("0", "1"):
                     raise ValueError(f"failed flag {r['failed']!r} is neither 0 nor 1")
+                if r["policy"] not in ALL_POLICY_CODES:
+                    raise ValueError(f"policy {r['policy']!r} is not one of {ALL_POLICY_CODES}")
+                if r["distribution"] not in KINDS:
+                    raise ValueError(f"distribution {r['distribution']!r} is not one of {KINDS}")
                 out.append(
                     CellResult(
                         policy=r["policy"],

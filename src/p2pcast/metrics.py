@@ -187,10 +187,8 @@ class PathTable:
         self.size = np.array(size, dtype=np.int64)
 
     @classmethod
-    def build(cls, topology: Topology, space: DelaySpace, m: int | None = None) -> "PathTable":
+    def build(cls, topology: Topology, space: DelaySpace, m: int) -> "PathTable":
         _, pred = shortest_paths(topology, space)
-        if m is None:
-            m = int(topology.in_multiplicity()[1:].max()) if topology.n_nodes > 1 else 0
         return cls(topology, pred, m)
 
 
@@ -335,7 +333,10 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
 
     Stops at the first violation and reports which requirement failed; a
     requirement-3 failure names the lowest-id peer short of ``m`` paths.
+    Raises ValueError for ``m`` below 1 or a profile of another size.
     """
+    if m < 1:
+        raise ValueError(f"M must be at least 1, got {m}")
     n = topology.n_nodes
     if caps.n_nodes != n:
         raise ValueError(f"capacity profile covers {caps.n_nodes} nodes, topology has {n}")

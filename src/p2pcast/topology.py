@@ -130,6 +130,27 @@ class PolicySpec:
 
 
 @dataclass(frozen=True)
+class SimParams:
+    """Per-build parameters shared by every cell: the substream count M, the
+    peercaster's capacity u0 and the peer capacity choices. The one place
+    their defaults are written."""
+
+    m: int = 4
+    u0: int = 16
+    capacity_choices: tuple[int, ...] = (1, 5, 10, 16)
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError("M must be at least 1")
+        if self.u0 < self.m:
+            raise ValueError(f"u0={self.u0} cannot be below M={self.m}")
+        ch = tuple(int(c) for c in self.capacity_choices)
+        if not ch or any(c < 0 for c in ch):
+            raise ValueError("capacities must be a non-empty list of non-negative ints")
+        object.__setattr__(self, "capacity_choices", ch)
+
+
+@dataclass(frozen=True)
 class CapacityProfile:
     """Upload capacities u_i, in connection units, for every node."""
 
@@ -153,8 +174,8 @@ class CapacityProfile:
         cls,
         n_nodes: int,
         rng: np.random.Generator,
-        choices: tuple[int, ...] = (1, 5, 10, 16),
-        u0: int = 16,
+        choices: tuple[int, ...] = SimParams.capacity_choices,
+        u0: int = SimParams.u0,
     ) -> "CapacityProfile":
         """Draw peer capacities uniformly from ``choices``; the peercaster gets ``u0``."""
         u = rng.choice(np.asarray(choices, dtype=np.int64), size=n_nodes)
@@ -288,7 +309,7 @@ class BuildState:
         space: DelaySpace,
         caps: CapacityProfile,
         policy: PolicySpec,
-        m: int = 4,
+        m: int = SimParams.m,
         seed: int = 0,
     ):
         n = space.n_nodes
@@ -574,7 +595,7 @@ def build(
     space: DelaySpace,
     caps: CapacityProfile,
     policy: PolicySpec,
-    m: int = 4,
+    m: int = SimParams.m,
     seed: int = 0,
 ) -> Topology:
     """Build a feasible topology over ``space`` under ``policy``.

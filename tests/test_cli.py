@@ -73,6 +73,25 @@ def test_run_accepts_overrides(config_file, tmp_path):
     assert len(results) == 1 + 2 * 1 * 1 * 2  # dists x policies x sizes x runs
 
 
+def test_run_policies_override_matches_the_config_spelling(config_file, tmp_path):
+    # A lower-case override names the same cells, with the same seeds, as
+    # the canonical code in the config file.
+    cfg = tmp_path / "gr.cfg"
+    cfg.write_text("distributions=flat,tight\npolicies=GR\nsizes=8\nruns=2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    args = ["run", "--config", str(config_file), "--sizes", "8", "--policies", "gr"]
+    assert main(args + ["--out", str(tmp_path / "flag")]) == 0
+    from_flag = (tmp_path / "flag" / "results.csv").read_bytes()
+    assert from_flag == (tmp_path / "file" / "results.csv").read_bytes()
+
+
+def test_run_rejects_two_spellings_of_one_policy(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out), "--policies", "GR,gr"]) == 2
+    assert capsys.readouterr().err == "error: duplicate entries in policies: ('GR', 'GR')\n"
+    assert not out.exists()
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("distributions=flat\npolicies=WAT\nsizes=10\nruns=1\n")
@@ -124,6 +143,29 @@ def test_run_reports_malformed_results_without_traceback(config_file, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed row in {path}, line 3: failed flag '2'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("column, foreign", [(0, "gr"), (1, "Flat")])
+def test_run_refuses_to_resume_a_foreign_spelling(config_file, tmp_path, capsys, column, foreign):
+    # A row as a run that did not canonicalise would have written it: the
+    # foreign label, with the seed derived from that label.
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    path = out / "results.csv"
+    lines = path.read_text().splitlines()
+    row = lines[1].split(",")
+    row[column] = foreign
+    row[4] = str(cell_seed(0, row[0], row[1], int(row[2]), int(row[3])))
+    lines[1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+    name = ("policy", "distribution")[column]
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed row in {path}, line 2: {name} {foreign!r} is not one of ("
+    )
+    assert path.read_bytes() == before
 
 
 def test_run_refuses_to_resume_under_another_seed(config_file, tmp_path, capsys):
@@ -302,6 +344,24 @@ def test_distributions_writes_scatter_files(tmp_path, capsys):
         assert lines[0] == "node,x,y" and len(lines) == 41
     text = capsys.readouterr().out
     assert "clusters" in text  # clustered kinds report their cluster count
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["distributions", "--sizes", "0", "--out", "{tmp}"], "n must be at least 1 (the peercaster itself)"),
+        (["distributions", "--out", "{file}"], "[Errno 17] File exists: '{file}'"),
+        (["aggregate", "{raw}", "--out", "{file}"], "[Errno 17] File exists: '{file}'"),
+    ],
+    ids=["distributions-size-0", "distributions-out-is-a-file", "aggregate-out-is-a-file"],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, args, error):
+    names = {"tmp": tmp_path / "spaces", "file": tmp_path / "a_file", "raw": tmp_path / "results.csv"}
+    names["file"].write_text("")
+    names["raw"].write_text(RESULTS_HEADER + "\n")
+    assert main([a.format(**names) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error.format(**names)}\n")
 
 
 def test_demo_all_cells_feasible(tmp_path, capsys):

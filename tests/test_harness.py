@@ -108,11 +108,20 @@ def test_config_mapping_validation():
 
 def test_config_overrides_and_case():
     mapping = parse_config(CONFIG_TEXT)
-    cfg = config_from_mapping(mapping, sizes_override=(5, 6), policies_override=("GR",))
+    cfg = config_from_mapping(dict(mapping, sizes="5,6", policies="GR"))
     assert cfg.sizes == (5, 6)
     assert cfg.policies == ("GR",)
     lower = config_from_mapping(dict(mapping, policies="fcs,gdn"))
     assert lower.policies == ("FCS", "GDN")
+
+
+def test_config_spells_each_policy_by_its_code():
+    cfg = ExperimentConfig(distributions=("flat",), policies=("gr",), sizes=(8,), runs=1)
+    assert cfg.policies == ("GR",)
+    assert ExperimentConfig(("flat",), (" fcs", "Gdn"), (8,), 1).policies == ("FCS", "GDN")
+    # Canonical first, so two spellings of one policy are a duplicate.
+    with pytest.raises(ValueError, match=re.escape("duplicate entries in policies: ('GR', 'GR')")):
+        ExperimentConfig(distributions=("flat",), policies=("GR", "gr"), sizes=(8,), runs=1)
 
 
 def test_sim_params_validation():
@@ -462,7 +471,7 @@ FULL_GRID_SMALL_SHA256 = {
 def test_full_grid_small_sizes_keep_their_bytes(tmp_path):
     config_path = Path(__file__).resolve().parents[1] / "configs" / "full_grid.cfg"
     config = config_from_mapping(
-        parse_config(config_path.read_text()), master_seed=0, sizes_override=(10, 20, 50)
+        dict(parse_config(config_path.read_text()), sizes="10,20,50"), master_seed=0
     )
     run_experiment(config, tmp_path)
     digests = {

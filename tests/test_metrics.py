@@ -148,8 +148,7 @@ def test_path_table_structure():
     res = random_feasible(5, 25)
     assert res is not None
     space, caps, t = res
-    table = PathTable.build(t, space)
-    assert table.m == 4
+    table = PathTable.build(t, space, 4)
     dist, pred = shortest_paths(t, space)
     for i, paths in realized_paths(t, pred).items():
         assert len(paths) == 4  # one entry per connection
@@ -325,7 +324,7 @@ def test_vulnerability_duality():
     res = random_feasible(11, 30)
     assert res is not None
     space, _, t = res
-    table = PathTable.build(t, space)
+    table = PathTable.build(t, space, 4)
     s_arr, _ = system_vulnerability(table)
     per_path_total = sum(
         sum(1 for v in path[1:-1] if v != i)
@@ -489,6 +488,14 @@ def test_verify_checks_requirements_in_order():
     t = topo(3, {(1, 2): 3, (2, 1): 4})
     report = verify_feasible(t, CapacityProfile(np.array([16, 4, 4])), 4)
     assert report.requirement == 1
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_verify_rejects_m_below_1(m):
+    # No requirement can hold or fail under M < 1: it is bad input, not a report.
+    t = topo(2, {(0, 1): 4})
+    with pytest.raises(ValueError, match=f"^M must be at least 1, got {m}$"):
+        verify_feasible(t, CapacityProfile(np.array([16, 4])), m)
 
 
 def random_multigraph(rng, n, m):
