@@ -29,10 +29,6 @@ from .metrics import verify_feasible
 from .topology import TopologyBuildError, read_topology_csv
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
 def _progress(stream):
     count, t0 = itertools.count(1), time.perf_counter()
 
@@ -92,9 +88,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_distributions(args) -> int:
+    sizes = harness.config_ints("sizes", args.sizes)
+    if not sizes:
+        raise ValueError(f"config key sizes: expected an integer, got {args.sizes!r}")
     os.makedirs(args.out, exist_ok=True)
     for kind in KINDS:
-        for n in args.sizes:
+        for n in sizes:
             space = generate(DistributionSpec.preset(kind, n, args.seed))
             path = os.path.join(args.out, f"space_{kind}_n{n}.csv")
             space.to_csv(path)
@@ -147,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distributions", help="write sample delay spaces as CSV")
     p_dist.add_argument("--out", default="delay_spaces", help="output directory")
     p_dist.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_dist.add_argument(
-        "--sizes", type=_int_list, default=(1000,), help="node counts (default 1000)"
-    )
+    p_dist.add_argument("--sizes", default="1000", help="node counts (default 1000)")
     p_dist.set_defaults(func=_cmd_distributions)
 
     p_demo = sub.add_parser("demo", help="run and verify a small built-in grid")

@@ -126,6 +126,18 @@ def parse_config(text: str) -> dict[str, str]:
 _CONFIG_KEYS = {"distributions", "policies", "sizes", "runs", "M", "u0", "capacities"}
 
 
+def _config_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"config key {key}: expected an integer, got {text!r}") from None
+
+
+def config_ints(key: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of config key ``key``, skipping empty parts."""
+    return tuple(_config_int(key, part.strip()) for part in text.split(",") if part.strip())
+
+
 def config_from_mapping(mapping: dict[str, str], master_seed: int = 0) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed config keys."""
     unknown = set(mapping) - _CONFIG_KEYS
@@ -138,21 +150,17 @@ def config_from_mapping(mapping: dict[str, str], master_seed: int = 0) -> Experi
     def _csv_list(key: str) -> tuple[str, ...]:
         return tuple(part.strip() for part in mapping[key].split(",") if part.strip())
 
-    def _int(key: str, text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"config key {key}: expected an integer, got {text!r}") from None
-
     # Only the keys present: SimParams supplies the rest.
-    sim = {f: _int(k, mapping[k]) for k, f in (("M", "m"), ("u0", "u0")) if k in mapping}
+    sim = {f: _config_int(k, mapping[k]) for k, f in (("M", "m"), ("u0", "u0")) if k in mapping}
     if "capacities" in mapping:
-        sim["capacity_choices"] = tuple(_int("capacities", c) for c in mapping["capacities"].split(","))
+        sim["capacity_choices"] = tuple(
+            _config_int("capacities", c) for c in mapping["capacities"].split(",")
+        )
     return ExperimentConfig(
         distributions=_csv_list("distributions"),
         policies=_csv_list("policies"),
-        sizes=tuple(_int("sizes", s) for s in _csv_list("sizes")),
-        runs=_int("runs", mapping["runs"]),
+        sizes=config_ints("sizes", mapping["sizes"]),
+        runs=_config_int("runs", mapping["runs"]),
         master_seed=master_seed,
         sim=SimParams(**sim),
     )

@@ -293,6 +293,37 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
     return Topology(len(rows), edges, residual), CapacityProfile(u)
 
 
+#: Scans over fewer entries score every entry exactly; longer ones first rule
+#: entries out by their proxy scores. About the break-even: n=1000 builds of
+#: FCS, FDN and GDD cost the same with this cutoff, 1024 or none, and about
+#: 10% more with 256.
+_PRUNE_MIN = 512
+
+
+def _widen(x):
+    """An upper bound on the exact score of any entry whose proxy score is at
+    most ``x``, and on the proxy score of any entry whose exact score is at
+    most ``x``. Exact scores are ``np.hypot`` delays, proxy scores those of
+    :meth:`DelaySpace.proxy_delays_from`, both with ``d +`` under least-delay.
+
+    Both take the same rounded differences dx, dy; let h be the exact
+    sqrt(dx**2 + dy**2). In units u = 2**-53: ``np.hypot`` is within 1 ulp,
+    2u * h, or 2**-1074 once subnormal. Each square carries u relative, or
+    2**-1075 absolute where it falls below the normal range (an underflowed
+    square may round up to the least subnormal), and the sum u more, exact
+    when subnormal. So the sum is h**2 * (1 +- 2.1u) +- 2**-1074, its sqrt
+    lies within 1.1u * h + 2**-537 of h, and the sqrt's rounding adds u: the
+    proxy is within 2.1u * h + 2**-536 of h, so proxy and delay differ by at
+    most 4.2u of either one plus 2**-535. The ``d +`` rounds each side by u
+    more, relative to a sum of non-negative terms, so an exact and a proxy
+    score each lie within 6.5u of the other plus 2**-534. ``x * (1 + 2**-46)
+    + 2**-530`` (128u, and 16 times the absolute term) covers that and the
+    two roundings of its own. No square may overflow: ``BuildState`` keeps
+    to exact scores when the coordinate extents' squares could.
+    """
+    return x * (1 + 2.0**-46) + 2.0**-530
+
+
 class BuildState:
     """Mutable state of one construction run. Internal to :func:`build`;
     exposed so the admission steps can be driven and inspected one at a time.
@@ -302,6 +333,11 @@ class BuildState:
     of at most n - 1 hops plus one more hop, and at most M - 1 diversity
     penalties of n * max-pairwise-delay on top of a delay. Raises ValueError
     when that bound is not finite, where scores could overflow to inf and tie.
+
+    Scans of at least ``_PRUNE_MIN`` entries (uploader picks, rescores and
+    the closest-cache refresh) rule out by proxy scores the entries that
+    cannot matter, then decide on exact scores of the rest, by the same
+    comparisons and tie rules as a full scan.
     """
 
     def __init__(
@@ -324,6 +360,9 @@ class BuildState:
         with np.errstate(over="ignore"):
             extent = np.ptp(space.coords, axis=0)
             bound = n * (m + 1) * np.hypot(*extent)
+            # No difference exceeds the extents, and rounding is monotone, so
+            # no proxy square or sum overflows when the extents' do not.
+            proxy_ok = bool(np.isfinite(extent[0] * extent[0] + extent[1] * extent[1]))
         if not np.isfinite(bound):
             raise ValueError(
                 f"coordinate extents {extent.tolist()} are too wide: scores up to "
@@ -374,6 +413,7 @@ class BuildState:
                 self._seen = np.ones(n, dtype=np.int64)
 
         self._penalty: float | None = None
+        self._proxy_ok = proxy_ok
 
     # -- helpers ---------------------------------------------------------
 
@@ -392,6 +432,20 @@ class BuildState:
 
     def _guard(self, i: int) -> bool:
         return int(self.u[i]) + self.F >= self.M
+
+    def _contenders(self, i: int, ids: np.ndarray, k: int) -> np.ndarray:
+        """Ascending positions into ``ids`` (at least ``k`` connected ids)
+        that hold every entry whose exact score for peer i is at most the
+        k-th smallest, so the first k in any tie order. It keeps each proxy
+        score at most the k-th smallest proxy score widened twice: the k
+        entries with the smallest proxies score at most one widening above
+        it, so the k-th smallest exact score does too, and an entry scoring
+        at most that has a proxy at most one widening more (:func:`_widen`)."""
+        q = self.space.proxy_delays_from(i, ids)
+        if self.policy.score == LEAST_DELAY:
+            q += self.d[ids]
+        kth = np.partition(q, k - 1)[k - 1]
+        return np.flatnonzero(q <= _widen(_widen(kth)))
 
     # -- admission steps -------------------------------------------------
 
@@ -436,14 +490,23 @@ class BuildState:
         score = self.policy.score
         diversity = self.policy.diversity
 
-        masked = base = counts = None
+        # Scored picks read the entries at positions ``near`` of conn, or all
+        # of them. An entry's first pick compares its unpenalised score, so
+        # the distinct scored picks are the first open entries in (score, id)
+        # order, at most M of them: the contenders of the M-th score.
+        near = masked = base = counts = None
         if score != RANDOM:
-            base = self.space.delays_from(peer, conn)
+            if len(conn) >= _PRUNE_MIN and self._proxy_ok and n_open > self.M:
+                near = np.flatnonzero(rr > 0)
+                near = near[self._contenders(peer, conn[near], self.M)]
+            ids = conn if near is None else conn[near]
+            base = self.space.delays_from(peer, ids)
             if score == LEAST_DELAY:
-                base = self.d[conn] + base
-            masked = np.where(rr > 0, base, np.inf)
+                base = self.d[ids] + base
+            # ``near`` holds open entries only.
+            masked = np.where(rr > 0, base, np.inf) if near is None else base.copy()
             if diversity != NONE:
-                counts = np.zeros(len(conn))
+                counts = np.zeros(len(ids))
 
         chosen: list[int] = []
         while len(chosen) < self.M:
@@ -453,13 +516,14 @@ class BuildState:
                     f"(picked {len(chosen)}/{self.M} for peer {peer})"
                 )
             if score == RANDOM or (diversity == SMALL_WORLD and len(chosen) == self.M - 1):
-                ids = np.flatnonzero(rr > 0)
-                k = int(ids[self.rng.integers(len(ids))])
-                take = 1
+                open_pos = np.flatnonzero(rr > 0)
+                k = int(open_pos[self.rng.integers(len(open_pos))])
+                j, take = None, 1  # the last pick, or no scores at all
             else:
                 m = masked.min()
                 ties = np.flatnonzero(masked == m)
-                k = int(ties[np.argmin(conn[ties])]) if len(ties) > 1 else int(ties[0])
+                j = int(ties[np.argmin(ids[ties])]) if len(ties) > 1 else int(ties[0])
+                k = j if near is None else int(near[j])
                 # Without diversity the argmin stays the argmin until its
                 # residual runs out, so it takes those picks at once.
                 take = 1 if counts is not None else min(int(rr[k]), self.M - len(chosen))
@@ -467,13 +531,14 @@ class BuildState:
             rr[k] -= take
             if rr[k] == 0:
                 n_open -= 1
-                if masked is not None:
-                    masked[k] = np.inf
+                if j is not None:
+                    masked[j] = np.inf
             elif counts is not None and len(chosen) < self.M:
-                # Only entry k's penalty changed: the same expression per
-                # element as rebuilding base + counts * penalty.
-                counts[k] += 1
-                masked[k] = base[k] + counts[k] * self._diversity_penalty()
+                # Only entry j's penalty changed: the same expression per
+                # element as rebuilding base + counts * penalty. (j is set:
+                # a small-world random pick is the last pick.)
+                counts[j] += 1
+                masked[j] = base[j] + counts[j] * self._diversity_penalty()
         return chosen
 
     def update_after_admission(self, peer: int, uploaders: list[int]) -> None:
@@ -526,6 +591,9 @@ class BuildState:
         connected uploader is always open."""
         conn = self.connected_ids
         open_ids = conn[self.residual[conn] > 0]
+        if len(open_ids) >= _PRUNE_MIN and self._proxy_ok:
+            # Order-preserving, so the argmin below is still the first one.
+            open_ids = open_ids[self._contenders(i, open_ids, 1)]
         vec = self.space.delays_from(i, open_ids)
         if self.policy.score == LEAST_DELAY:
             vec = self.d[open_ids] + vec
@@ -573,6 +641,11 @@ class BuildState:
         if self.residual[new_node] <= 0:
             return
         targets = np.flatnonzero(self.unadmitted_mask)
+        if len(targets) >= _PRUNE_MIN and self._proxy_ok:
+            # A target whose delay beats its cached score has a proxy at most
+            # one widening above that score.
+            proxy = self.space.proxy_delays_from(new_node, targets)
+            targets = targets[proxy <= _widen(self._best_score[targets])]
         if not len(targets):
             return
         vec = self.space.delays_from(new_node, targets)

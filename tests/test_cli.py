@@ -352,8 +352,13 @@ def test_distributions_writes_scatter_files(tmp_path, capsys):
         (["distributions", "--sizes", "0", "--out", "{tmp}"], "n must be at least 1 (the peercaster itself)"),
         (["distributions", "--out", "{file}"], "[Errno 17] File exists: '{file}'"),
         (["aggregate", "{raw}", "--out", "{file}"], "[Errno 17] File exists: '{file}'"),
+        (["distributions", "--sizes", "", "--out", "{tmp}"], "config key sizes: expected an integer, got ''"),
+        (["distributions", "--sizes", "x", "--out", "{tmp}"], "config key sizes: expected an integer, got 'x'"),
     ],
-    ids=["distributions-size-0", "distributions-out-is-a-file", "aggregate-out-is-a-file"],
+    ids=[
+        "distributions-size-0", "distributions-out-is-a-file", "aggregate-out-is-a-file",
+        "distributions-sizes-empty", "distributions-sizes-not-an-integer",
+    ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, args, error):
     names = {"tmp": tmp_path / "spaces", "file": tmp_path / "a_file", "raw": tmp_path / "results.csv"}

@@ -21,6 +21,7 @@ from p2pcast import (
     shortest_paths,
     verify_feasible,
 )
+from p2pcast import topology
 from p2pcast.delay_space import KINDS
 from p2pcast.topology import CLOSEST, DIVERSE, FIXED, GROWING, LEAST_DELAY, NONE, RANDOM, SMALL_WORLD
 
@@ -268,6 +269,23 @@ def test_overlay_delay_matches_dijkstra(seed, code):
     assert np.array_equal(dist, state.d)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_builder_delay_equals_shortest_path_delay_above_the_cutoff(kind):
+    # A built topology is a DAG in admission order, and both layers sum the
+    # same np.hypot operands in the same order, so d is the Dijkstra distance
+    # bit for bit, also where the builder's scans are pruned.
+    n = 700
+    assert n > topology._PRUNE_MIN
+    space = generate(DistributionSpec.preset(kind, n, 0))
+    caps = CapacityProfile.sample(n, make_rng(0, "capacities"))
+    for code in ALL_POLICY_CODES:
+        state = BuildState(space, caps, PolicySpec.from_code(code), 4, seed=0)
+        while not state.done():
+            state.admit_next()
+        dist, _ = shortest_paths(state.topology(), space)
+        assert dist.tobytes() == state.d.tobytes(), code
+
+
 def test_build_is_deterministic_per_seed():
     space = generate(DistributionSpec.preset("loose", 60, 9))
     caps = CapacityProfile.sample(60, make_rng(9, "capacities"))
@@ -340,6 +358,12 @@ DEGENERATE_COORDS = {
     "lattice": _rng.integers(-3, 4, size=(50, 2)) * 0.1,
     "few-sites": _rng.uniform(-0.25, 0.25, size=(3, 2))[_rng.integers(0, 3, size=40)],
 }
+_u = _rng.uniform(-1, 1, size=(60, 2))
+#: Scales where the proxy scores misbehave: every square underflows to 0,
+#: squares land among the subnormals, and squares overflow (exact path only).
+DEGENERATE_COORDS.update(
+    {"tiny": _u * 1e-300, "subnormal-squares": _u * 1e-160, "huge": _u * 1e300}
+)
 
 
 @pytest.mark.parametrize("name", DEGENERATE_COORDS)
@@ -369,6 +393,44 @@ def test_diverse_penalty_rounding_matches_reference():
     for code in ALL_POLICY_CODES:
         got = build_outcome(BuildState, space, caps, code, 6, 0)
         assert got == build_outcome(ReferenceBuildState, space, caps, code, 6, 0), code
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-155, 1e-160, 1e-300])
+def test_proxy_and_exact_scores_lie_within_one_widening_of_each_other(scale):
+    # The claim topology._widen proves, on random and lattice coordinates
+    # whose squares are normal, subnormal, or underflow to 0.
+    rng = np.random.default_rng(3)
+    coords = np.r_[rng.uniform(-1, 1, size=(200, 2)), rng.integers(-3, 4, size=(200, 2)) * 0.1]
+    space = DelaySpace(coords * scale)
+    ids = np.arange(space.n_nodes)
+    d = rng.uniform(0, 3, size=ids.size) * scale
+    for i in range(0, space.n_nodes, 5):
+        exact, proxy = space.delays_from(i, ids), space.proxy_delays_from(i, ids)
+        for s, q in ((exact, proxy), (d + exact, d + proxy)):
+            assert (s <= topology._widen(q)).all() and (q <= topology._widen(s)).all(), i
+
+
+@pytest.fixture
+def prune_every_scan(monkeypatch):
+    """Rule entries out by proxy scores in scans of every length, so the
+    reference-builder cases below also run the pruned path at sizes the real
+    cutoff keeps exact."""
+    monkeypatch.setattr(topology, "_PRUNE_MIN", 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [10, 37, 200, 600])
+def test_pruned_build_matches_reference_builder(prune_every_scan, kind, n):
+    test_build_matches_reference_builder(kind, n)
+
+
+@pytest.mark.parametrize("name", DEGENERATE_COORDS)
+def test_pruned_build_matches_reference_builder_on_degenerate_coordinates(prune_every_scan, name):
+    test_build_matches_reference_builder_on_degenerate_coordinates(name)
+
+
+def test_pruned_diverse_penalty_rounding_matches_reference(prune_every_scan):
+    test_diverse_penalty_rounding_matches_reference()
 
 
 def test_select_next_peer_takes_both_branches(monkeypatch):
@@ -405,6 +467,10 @@ def test_select_next_peer_takes_both_branches(monkeypatch):
     assert state.F >= state.M
     with pytest.raises(AdmissionStuck, match=r"unadmitted peers: \[\]"):
         state.select_next_peer()
+
+
+def test_pruned_select_next_peer_takes_both_branches(prune_every_scan, monkeypatch):
+    test_select_next_peer_takes_both_branches(monkeypatch)
 
 
 # ------------------------------------------------------------- plumbing
