@@ -20,7 +20,7 @@ N = 1000
 # pairwise delay is the box diagonal, sqrt(2)/2 ~= 0.707 s.
 flat = generate(DistributionSpec.preset("flat", N, SEED))
 print(f"flat: {N} nodes, bounds |x|,|y| < {np.abs(flat.coords).max():.4f}")
-print(f"      max pairwise delay {flat.max_pairwise_delay():.4f} s "
+print(f"      diagonal of the coordinate extents {np.hypot(*np.ptp(flat.coords, axis=0)):.4f} s "
       f"(box diagonal {np.sqrt(2) / 2:.4f})")
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,6 @@ class DelaySpace:
         self.kind = kind
         #: Number of clusters the generator produced (None for flat spaces).
         self.cluster_count = cluster_count
-        self._max_pairwise: float | None = None
 
     @property
     def coords(self) -> np.ndarray:
@@ -162,50 +161,12 @@ class DelaySpace:
         dx = x.take(uploaders) - x.take(downloaders)
         return np.hypot(dx, y.take(uploaders) - y.take(downloaders))
 
-    def max_pairwise_delay(self) -> float:
-        """Largest delay between any two nodes (the diameter of the point set)."""
-        if self._max_pairwise is None:
-            self._max_pairwise = _diameter(self._coords)
-        return self._max_pairwise
-
     def to_csv(self, path) -> None:
         """Write the space as ``node,x,y`` rows, node 0 (the peercaster) first."""
         with open(path, "w", encoding="ascii", newline="\n") as f:
             f.write("node,x,y\n")
             for i, (x, y) in enumerate(self._coords.tolist()):
                 f.write(f"{i},{x!r},{y!r}\n")
-
-
-def _pairwise_max(a: np.ndarray, b: np.ndarray) -> float:
-    best = 0.0
-    for start in range(0, a.shape[0], 1024):
-        chunk = a[start : start + 1024]
-        dx = chunk[:, None, 0] - b[None, :, 0]
-        dy = chunk[:, None, 1] - b[None, :, 1]
-        best = max(best, float(np.hypot(dx, dy).max()))
-    return best
-
-
-def _diameter(coords: np.ndarray) -> float:
-    """Exact max pairwise distance; goes through the convex hull for large n.
-
-    Every path uses np.hypot so the value is bit-identical regardless of
-    which shortcut applies (the diameter's endpoints are always hull vertices).
-    """
-    n = coords.shape[0]
-    if n == 1:
-        return 0.0
-    pts = coords
-    if n > 2048:
-        try:
-            from scipy.spatial import ConvexHull
-
-            pts = coords[ConvexHull(coords).vertices]
-        except Exception:
-            # Degenerate geometry (all nodes collinear, say): fall back to the
-            # full pairwise computation.
-            return _pairwise_max(coords, coords)
-    return _pairwise_max(pts, pts)
 
 
 def _generate_clustered(spec: DistributionSpec, rng: np.random.Generator) -> tuple[np.ndarray, int]:

@@ -23,8 +23,9 @@ A policy is a triple:
   delay(i, j)) or ``least_delay`` (argmin of d_j + delay(i, j), where d_j is
   j's delay from the peercaster through the overlay).
 * diversity — how the M uploads are spread: ``none`` repeats the raw argmin,
-  ``diverse`` adds a transient penalty L = n * max-pairwise-delay to an
-  uploader's score each time it is picked within the current round, and
+  ``diverse`` takes, for each pick, the open uploader with the fewest picks
+  this round, ties to the lowest score, then the lowest node id (so the picks
+  walk the open uploaders in score order, one per uploader per pass), and
   ``small_world`` uses the diverse rule for M-1 picks and chooses the final
   uploader uniformly at random.
 
@@ -329,10 +330,15 @@ class BuildState:
     exposed so the admission steps can be driven and inspected one at a time.
 
     Every delay is at most D = ``np.hypot`` of the coordinate extents, so
-    every score the builder forms is below n * (M + 1) * D: an overlay delay
-    of at most n - 1 hops plus one more hop, and at most M - 1 diversity
-    penalties of n * max-pairwise-delay on top of a delay. Raises ValueError
-    when that bound is not finite, where scores could overflow to inf and tie.
+    every score the builder forms is at most n * D: an overlay delay of at
+    most n - 1 hops plus one more hop. Raises ValueError when n * (M + 1) * D,
+    that bound with a factor M + 1 of headroom, is not finite, where scores
+    could overflow to inf and tie.
+
+    Diversity is no score term: a diverse pick takes the open uploader with
+    the fewest picks this round, ties to the lowest score, then the lowest
+    node id. The picks walk the open entries in (score, id) order, one pick
+    per entry per pass, and skip those that ran out.
 
     Scans of at least ``_PRUNE_MIN`` entries (uploader picks, rescores and
     the closest-cache refresh) rule out by proxy scores the entries that
@@ -412,7 +418,6 @@ class BuildState:
             if policy.score == LEAST_DELAY:
                 self._seen = np.ones(n, dtype=np.int64)
 
-        self._penalty: float | None = None
         self._proxy_ok = proxy_ok
 
     # -- helpers ---------------------------------------------------------
@@ -424,11 +429,6 @@ class BuildState:
 
     def done(self) -> bool:
         return self.n_connected == self.n
-
-    def _diversity_penalty(self) -> float:
-        if self._penalty is None:
-            self._penalty = self.n * self.space.max_pairwise_delay()
-        return self._penalty
 
     def _guard(self, i: int) -> bool:
         return int(self.u[i]) + self.F >= self.M
@@ -491,10 +491,10 @@ class BuildState:
         diversity = self.policy.diversity
 
         # Scored picks read the entries at positions ``near`` of conn, or all
-        # of them. An entry's first pick compares its unpenalised score, so
-        # the distinct scored picks are the first open entries in (score, id)
-        # order, at most M of them: the contenders of the M-th score.
-        near = masked = base = counts = None
+        # of them. Each pass of picks walks the open entries in (score, id)
+        # order, so the distinct scored picks are the first open entries in
+        # that order, at most M of them: the contenders of the M-th score.
+        near = masked = base = None
         if score != RANDOM:
             if len(conn) >= _PRUNE_MIN and self._proxy_ok and n_open > self.M:
                 near = np.flatnonzero(rr > 0)
@@ -505,8 +505,6 @@ class BuildState:
                 base = self.d[ids] + base
             # ``near`` holds open entries only.
             masked = np.where(rr > 0, base, np.inf) if near is None else base.copy()
-            if diversity != NONE:
-                counts = np.zeros(len(ids))
 
         chosen: list[int] = []
         while len(chosen) < self.M:
@@ -521,24 +519,25 @@ class BuildState:
                 j, take = None, 1  # the last pick, or no scores at all
             else:
                 m = masked.min()
+                if m == np.inf:
+                    # Every open entry has taken its pick of this pass: the
+                    # next pass walks those still open in the same order.
+                    masked = np.where(rr > 0 if near is None else rr[near] > 0, base, np.inf)
+                    m = masked.min()
                 ties = np.flatnonzero(masked == m)
                 j = int(ties[np.argmin(ids[ties])]) if len(ties) > 1 else int(ties[0])
                 k = j if near is None else int(near[j])
                 # Without diversity the argmin stays the argmin until its
                 # residual runs out, so it takes those picks at once.
-                take = 1 if counts is not None else min(int(rr[k]), self.M - len(chosen))
+                take = 1 if diversity != NONE else min(int(rr[k]), self.M - len(chosen))
             chosen += [int(conn[k])] * take
             rr[k] -= take
             if rr[k] == 0:
                 n_open -= 1
-                if j is not None:
-                    masked[j] = np.inf
-            elif counts is not None and len(chosen) < self.M:
-                # Only entry j's penalty changed: the same expression per
-                # element as rebuilding base + counts * penalty. (j is set:
-                # a small-world random pick is the last pick.)
-                counts[j] += 1
-                masked[j] = base[j] + counts[j] * self._diversity_penalty()
+            if j is not None:
+                # A diverse entry waits for the next pass; a plain one is
+                # spent, or the round is full.
+                masked[j] = np.inf
         return chosen
 
     def update_after_admission(self, peer: int, uploaders: list[int]) -> None:

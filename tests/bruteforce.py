@@ -8,9 +8,13 @@ Dijkstra and the tree delay built on it are kept here as a reference for the
 library shortest paths that replaced them. :func:`reference_build` is the admission builder
 as it was before its hot path computed only the delays and scans it uses
 (full-length ``delays_from`` vectors, a least-delay cache refresh after every
-admission, one masked scan per uploader pick); it is the oracle the faster
-builder must match bit for bit. It shares only the package's types,
-exceptions and seeded streams.
+admission, one masked scan per uploader pick, diversity as a score penalty
+of n times the brute-force diameter); it is the oracle the faster builder
+must match bit for bit on generated spaces. :class:`TierReferenceBuildState`
+swaps the penalty for the exact (picks, score, id) key the package uses, and
+is the oracle on degenerate coordinates, where rounding or a zero diameter
+parts the two rules. They share only the package's types, exceptions and
+seeded streams.
 """
 
 import heapq
@@ -193,6 +197,18 @@ def heap_tree_delay(topology, space, m, dijkstra=heap_dijkstra):
     return dist
 
 
+def brute_diameter(coords):
+    """Largest ``np.hypot`` delay over all ordered pairs of ``coords``, 1024
+    rows at a time."""
+    best = 0.0
+    for start in range(0, coords.shape[0], 1024):
+        rows = coords[start : start + 1024]
+        dx = rows[:, None, 0] - coords[None, :, 0]
+        dy = rows[:, None, 1] - coords[None, :, 1]
+        best = max(best, float(np.hypot(dx, dy).max()))
+    return best
+
+
 class ReferenceBuildState:
     """Mutable state of one construction run. Internal to :func:`build`;
     exposed so the admission steps can be driven and inspected one at a time.
@@ -267,7 +283,7 @@ class ReferenceBuildState:
 
     def _diversity_penalty(self) -> float:
         if self._penalty is None:
-            self._penalty = self.n * self.space.max_pairwise_delay()
+            self._penalty = self.n * brute_diameter(self.space.coords)
         return self._penalty
 
     def _guard(self, i: int) -> bool:
@@ -327,16 +343,21 @@ class ReferenceBuildState:
                 ids = np.flatnonzero(eligible)
                 k = int(ids[self.rng.integers(len(ids))])
             else:
-                eff = base if counts is None else base + counts * self._diversity_penalty()
-                masked = np.where(eligible, eff, np.inf)
-                m = masked.min()
-                ties = np.flatnonzero(masked == m)
-                k = int(ties[np.argmin(conn[ties])]) if len(ties) > 1 else int(ties[0])
+                k = self._scored_pick(conn, base, counts, eligible)
             chosen.append(int(conn[k]))
             rr[k] -= 1
             if counts is not None:
                 counts[k] += 1
         return chosen
+
+    def _scored_pick(self, conn, base, counts, eligible) -> int:
+        """Position in ``conn`` of the next scored pick: the lowest score plus
+        a penalty of n * diameter per pick this round, ties to the lowest id."""
+        eff = base if counts is None else base + counts * self._diversity_penalty()
+        masked = np.where(eligible, eff, np.inf)
+        m = masked.min()
+        ties = np.flatnonzero(masked == m)
+        return int(ties[np.argmin(conn[ties])]) if len(ties) > 1 else int(ties[0])
 
     def update_after_admission(self, peer: int, uploaders: list[int]) -> None:
         """Commit an admission: record edges, decrement capacities, set the
@@ -408,19 +429,34 @@ class ReferenceBuildState:
         return Topology(self.n, dict(self.edges), self.residual)
 
 
+class TierReferenceBuildState(ReferenceBuildState):
+    """The reference builder with diversity as an exact key instead of a
+    penalty: each scored pick takes the eligible uploader with the fewest
+    picks this round, ties to the lowest score, then the lowest node id. The
+    two agree in exact arithmetic, since every score is below the penalty;
+    they part where ``base + L`` rounds, or where L is 0."""
+
+    def _scored_pick(self, conn, base, counts, eligible) -> int:
+        picks = [0.0] * len(conn) if counts is None else counts.tolist()
+        keys = zip(picks, base.tolist(), conn.tolist(), range(len(conn)))
+        return min(key for key in keys if eligible[key[3]])[3]
+
+
 def reference_build(
     space: DelaySpace,
     caps: CapacityProfile,
     policy: PolicySpec,
     m: int = 4,
     seed: int = 0,
+    state_cls=ReferenceBuildState,
 ) -> Topology:
-    """Build a feasible topology over ``space`` under ``policy``.
+    """Build a feasible topology over ``space`` under ``policy`` with
+    ``state_cls``, the penalty reference by default.
 
     Deterministic in ``seed``. Raises :class:`AdmissionStuck` when the
     spare-capacity guard blocks every remaining peer.
     """
-    state = ReferenceBuildState(space, caps, policy, m, seed)
+    state = state_cls(space, caps, policy, m, seed)
     while not state.done():
         state.admit_next()
     return state.topology()

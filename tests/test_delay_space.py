@@ -121,25 +121,6 @@ def test_clustered_positions_form_tight_groups():
     assert np.median(d_tight[:, 1]) < np.median(d_flat[:, 1]) / 3
 
 
-def test_max_pairwise_delay_matches_bruteforce():
-    space = generate(DistributionSpec.preset("loose", 300, 2))
-    coords = space.coords
-    dx = coords[:, None, 0] - coords[None, :, 0]
-    dy = coords[:, None, 1] - coords[None, :, 1]
-    brute = float(np.hypot(dx, dy).max())
-    assert space.max_pairwise_delay() == pytest.approx(brute, abs=0.0)
-    # Large spaces route through the convex hull; same value must come out.
-    big = generate(DistributionSpec.preset("flat", 3000, 2))
-    bc = big.coords
-    brute_big = 0.0
-    for start in range(0, 3000, 500):
-        chunk = bc[start : start + 500]
-        dxx = chunk[:, None, 0] - bc[None, :, 0]
-        dyy = chunk[:, None, 1] - bc[None, :, 1]
-        brute_big = max(brute_big, float(np.hypot(dxx, dyy).max()))
-    assert big.max_pairwise_delay() == pytest.approx(brute_big, abs=0.0)
-
-
 def test_csv_round_trip(tmp_path):
     space = generate(DistributionSpec.preset("flat", 25, 14))
     path = tmp_path / "space.csv"
@@ -174,7 +155,6 @@ def test_spec_validation():
 def test_single_node_space_is_valid():
     space = generate(DistributionSpec.preset("flat", 1, 0))
     assert space.n_nodes == 1
-    assert space.max_pairwise_delay() == 0.0
 
 
 def test_preset_parameters():

@@ -25,7 +25,7 @@ from p2pcast import topology
 from p2pcast.delay_space import KINDS
 from p2pcast.topology import CLOSEST, DIVERSE, FIXED, GROWING, LEAST_DELAY, NONE, RANDOM, SMALL_WORLD
 
-from bruteforce import ReferenceBuildState, reference_build
+from bruteforce import ReferenceBuildState, TierReferenceBuildState, brute_diameter, reference_build
 
 
 def line_space(*xs):
@@ -134,32 +134,35 @@ def admit_directly(state, peer):
     state.update_after_admission(peer, [0] * state.M)
 
 
-def two_uploader_state(policy, caps_a=2, caps_b=16):
-    """Peercaster exhausted; uploaders a=1 (delay 0.1 from peer 3) and
-    b=2 (delay 0.2); peer 3 about to join."""
-    space = DelaySpace(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.0, 0.0]]))
-    caps = CapacityProfile(np.array([8, caps_a, caps_b, 5]))
-    state = BuildState(space, caps, policy, 4, seed=11)
-    admit_directly(state, 1)
-    admit_directly(state, 2)
-    assert state.residual[0] == 0  # both admissions drained the peercaster
+def uploader_state(policy, caps=(2, 16)):
+    """Peercaster exhausted; uploaders 1, 2, ... with capacities ``caps``
+    at delays 0.1, 0.2, ... from the peer, the last node, about to join."""
+    xs = [0.0] + [0.1 * k for k in range(1, len(caps) + 1)] + [0.0]
+    space = DelaySpace(np.array([[x, 0.0] for x in xs]))
+    state = BuildState(space, CapacityProfile(np.array([4 * len(caps), *caps, 5])), policy, 4, seed=11)
+    for uploader in range(1, len(caps) + 1):
+        admit_directly(state, uploader)
+    assert state.residual[0] == 0  # the admissions drained the peercaster
     return state
 
 
 def test_no_diversity_splits_only_on_exhaustion():
     # Closest uploader holds 2 units: the round repeats it twice, then moves on.
-    state = two_uploader_state(PolicySpec(FIXED, CLOSEST, NONE))
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, NONE))
     assert state.select_uploaders(3) == [1, 1, 2, 2]
 
 
 def test_diversity_alternates_between_uploaders():
-    state = two_uploader_state(PolicySpec(FIXED, CLOSEST, DIVERSE))
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, DIVERSE))
     assert state.select_uploaders(3) == [1, 2, 1, 2]
+    # Uploader 1 runs out in the first pass, so the second skips it.
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, DIVERSE), (1, 16, 16))
+    assert state.select_uploaders(4) == [1, 2, 3, 2]
 
 
 def test_diversity_penalty_is_transient():
-    # Penalties reset between rounds: a second peer sees unpenalised scores.
-    state = two_uploader_state(PolicySpec(FIXED, CLOSEST, DIVERSE), caps_a=16, caps_b=16)
+    # Pick counts reset between rounds: a second peer starts a fresh pass.
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, DIVERSE), (16, 16))
     assert state.select_uploaders(3) == [1, 2, 1, 2]
     assert state.select_uploaders(3) == [1, 2, 1, 2]  # same fresh alternation
 
@@ -177,12 +180,12 @@ def test_least_delay_score_includes_overlay_delay():
 
 
 def test_small_world_diverse_prefix_random_tail():
-    state = two_uploader_state(PolicySpec(FIXED, CLOSEST, SMALL_WORLD), caps_a=16, caps_b=16)
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, SMALL_WORLD), (16, 16))
     chosen = state.select_uploaders(3)
     assert chosen[:3] == [1, 2, 1]  # diverse prefix
     assert chosen[3] in (1, 2)  # final pick is uniform among eligible
     # With the closer uploader out of capacity for the tail, the tail is forced.
-    forced = two_uploader_state(PolicySpec(FIXED, CLOSEST, SMALL_WORLD), caps_a=2, caps_b=16)
+    forced = uploader_state(PolicySpec(FIXED, CLOSEST, SMALL_WORLD), (2, 16))
     assert forced.select_uploaders(3) == [1, 2, 1, 2]
 
 
@@ -329,13 +332,13 @@ def build_outcome(state_cls, space, caps, code, m, seed):
     return ("built", list(state.edges.items()), state.d.tobytes(), state.residual.tobytes())
 
 
-def assert_builds_match_reference(space, params, seed):
+def assert_builds_match_reference(space, params, seed, reference=ReferenceBuildState):
     n = space.n_nodes
     for m, choices, u0 in params:
         caps = CapacityProfile.sample(n, make_rng(seed, "capacities", m), choices, u0)
         for code in ALL_POLICY_CODES:
             got = build_outcome(BuildState, space, caps, code, m, seed)
-            want = build_outcome(ReferenceBuildState, space, caps, code, m, seed)
+            want = build_outcome(reference, space, caps, code, m, seed)
             assert got == want, f"{code}, n={n}, M={m}, capacities={choices}, u0={u0}"
 
 
@@ -368,17 +371,56 @@ DEGENERATE_COORDS.update(
 
 @pytest.mark.parametrize("name", DEGENERATE_COORDS)
 def test_build_matches_reference_builder_on_degenerate_coordinates(name):
+    # The tier oracle: on these coordinates the penalty rounds (see the
+    # test below), so the exact (picks, score, id) key is the expectation.
     space = DelaySpace(DEGENERATE_COORDS[name])
     for seed in (0, 1):
-        assert_builds_match_reference(space, BUILD_PARAMS, seed)
+        assert_builds_match_reference(space, BUILD_PARAMS, seed, TierReferenceBuildState)
     caps = CapacityProfile.sample(space.n_nodes, make_rng(0, "capacities"))
     for code in ALL_POLICY_CODES:
         try:
-            want = reference_build(space, caps, PolicySpec.from_code(code), 4, seed=0)
+            want = reference_build(
+                space, caps, PolicySpec.from_code(code), 4, seed=0, state_cls=TierReferenceBuildState
+            )
         except AdmissionStuck:
             continue
         got = build(space, caps, PolicySpec.from_code(code), 4, seed=0)
         assert got.edges == want.edges and np.array_equal(got.residual_u, want.residual_u)
+
+
+def test_tier_key_parts_from_the_penalty_only_where_the_penalty_degenerates():
+    # The exact (picks, score, id) key and the penalty base + picks * L
+    # agree wherever base + L keeps distinct bases apart. They part on
+    # coincident nodes, where L = 0 turns "diverse" into "none", and in one
+    # build on collinear-x: GDD, seed 0, peer 4 picks [3, 0, 1, 0] by the penalty and
+    # [3, 0, 1, 3] by the key, as bases 1.3 and 1.2999999999999998 both
+    # round to 165.3 with L = 164.
+    differ = set()
+    for name, coords in DEGENERATE_COORDS.items():
+        space = DelaySpace(coords)
+        for seed in (0, 1):
+            for m, choices, u0 in BUILD_PARAMS:
+                caps = CapacityProfile.sample(space.n_nodes, make_rng(seed, "capacities", m), choices, u0)
+                for code in ALL_POLICY_CODES:
+                    tier = build_outcome(TierReferenceBuildState, space, caps, code, m, seed)
+                    if tier != build_outcome(ReferenceBuildState, space, caps, code, m, seed):
+                        differ.add((name, seed, m, code))
+    spreading = [code for code in ALL_POLICY_CODES if code[-1] in "DS"]
+    coincident = {("coincident", seed, 4, code) for seed in (0, 1) for code in spreading}
+    assert differ == coincident | {("collinear-x", 0, 4, "GDD")}
+
+
+@pytest.mark.parametrize("code", ["FCD", "FDD", "GCD", "GDD"])
+def test_diverse_spreads_picks_over_coincident_uploaders(code):
+    # Every score ties at 0, so only the pick count sets uploaders apart:
+    # the k-th admitted peer has k open uploaders and takes min(k, M) of them.
+    space = DelaySpace(np.tile([0.1, -0.2], (12, 1)))
+    state = BuildState(space, CapacityProfile(np.full(12, 16)), PolicySpec.from_code(code), 4)
+    spread = []
+    while not state.done():
+        peer = state.admit_next()
+        spread.append(sum(down == peer for _, down in state.edges))
+    assert spread == [min(k, 4) for k in range(1, 12)]
 
 
 def test_diverse_penalty_rounding_matches_reference():
@@ -387,7 +429,7 @@ def test_diverse_penalty_rounding_matches_reference():
     # for both: distinct values that (b + L) + L would round into a tie.
     space = line_space(0.0, 0.2, 0.1 + 6 * 2**-57)
     caps = CapacityProfile(np.array([16, 16, 16]))
-    b, penalty = space.delays_from(2, np.array([0, 1])), 3 * space.max_pairwise_delay()
+    b, penalty = space.delays_from(2, np.array([0, 1])), 3 * brute_diameter(space.coords)
     assert b[0] + 2 * penalty != b[1] + 2 * penalty
     assert (b[0] + penalty) + penalty == (b[1] + penalty) + penalty
     for code in ALL_POLICY_CODES:
