@@ -108,6 +108,7 @@ class DelaySpace:
             raise ValueError(f"coordinates must be finite; row {row} is {coords[row].tolist()}")
         coords.flags.writeable = False
         self._coords = coords
+        self._n = coords.shape[0]
         columns = coords.T.copy()
         columns.flags.writeable = False
         self._x, self._y = columns
@@ -121,11 +122,11 @@ class DelaySpace:
 
     @property
     def n_nodes(self) -> int:
-        return self._coords.shape[0]
+        return self._n
 
     def _check(self, i: int) -> None:
-        if not 0 <= i < self.n_nodes:
-            raise IndexError(f"node index {i} out of range for {self.n_nodes} nodes")
+        if not 0 <= i < self._n:
+            raise IndexError(f"node index {i} out of range for {self._n} nodes")
 
     def delay(self, i: int, j: int) -> float:
         """Delay between nodes ``i`` and ``j`` in seconds."""

@@ -36,8 +36,9 @@ diverse/none/small-world grid.
 
 from __future__ import annotations
 
+import bisect
 import csv
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -335,10 +336,22 @@ class BuildState:
     that bound with a factor M + 1 of headroom, is not finite, where scores
     could overflow to inf and tie.
 
+    The open list (:attr:`open_ids`) keeps the connected nodes with residual
+    capacity left, in admission order: an admitted peer with u_i > 0 joins
+    its end, and an uploader whose residual reaches 0 leaves it by a binary
+    search on its admission rank and one slice shift. Uploader picks and
+    rescores scan it, not every connected node.
+
     Diversity is no score term: a diverse pick takes the open uploader with
     the fewest picks this round, ties to the lowest score, then the lowest
-    node id. The picks walk the open entries in (score, id) order, one pick
-    per entry per pass, and skip those that ran out.
+    node id. :meth:`select_uploaders` sorts its at most M contenders by
+    (score, id) once and walks them in Python: ``none`` takes each entry's
+    residual in turn, ``diverse`` one pick per entry per pass, skipping
+    those that ran out; random picks index open positions.
+
+    :meth:`update_after_admission` checks every uploader (connected, with
+    the capacity asked of it) before it changes anything, so a refused
+    update leaves the state as it was.
 
     Scans of at least ``_PRUNE_MIN`` entries (uploader picks, rescores and
     the closest-cache refresh) rule out by proxy scores the entries that
@@ -393,6 +406,12 @@ class BuildState:
         self._conn_buf = np.empty(n, dtype=np.int64)
         self._conn_buf[0] = 0
         self.n_connected = 1
+        self._rank = np.zeros(n, dtype=np.int64)  # position in admission order
+        # The open list: row 0 holds the connected ids with residual > 0 in
+        # admission order, row 1 their ranks, ascending, to find an entry by
+        # binary search. The peercaster starts open: u_0 >= M >= 1.
+        self._open = np.zeros((2, n), dtype=np.int64)
+        self._n_open = 1
         self.unadmitted_mask = np.ones(n, dtype=bool)
         self.unadmitted_mask[0] = False
 
@@ -427,6 +446,11 @@ class BuildState:
         """Connected nodes in admission order (peercaster first)."""
         return self._conn_buf[: self.n_connected]
 
+    @property
+    def open_ids(self) -> np.ndarray:
+        """Connected nodes with residual capacity left, in admission order."""
+        return self._open[0, : self._n_open]
+
     def done(self) -> bool:
         return self.n_connected == self.n
 
@@ -445,7 +469,7 @@ class BuildState:
         if self.policy.score == LEAST_DELAY:
             q += self.d[ids]
         kth = np.partition(q, k - 1)[k - 1]
-        return np.flatnonzero(q <= _widen(_widen(kth)))
+        return (q <= _widen(_widen(kth))).nonzero()[0]
 
     # -- admission steps -------------------------------------------------
 
@@ -484,86 +508,102 @@ class BuildState:
         """Choose the peer's M uploaders (repetition allowed), respecting
         residual capacities connection by connection. Does not mutate state;
         :meth:`update_after_admission` applies the result."""
-        conn = self.connected_ids
-        rr = self.residual[conn]  # fancy indexing copies: this round's own eligibility
-        n_open = int(np.count_nonzero(rr > 0))
-        score = self.policy.score
-        diversity = self.policy.diversity
+        open_ids, m, diversity = self.open_ids, self.M, self.policy.diversity
+        n_open = len(open_ids)
+        walked = 0 if self.policy.score == RANDOM else m - 1 if diversity == SMALL_WORLD else m
 
-        # Scored picks read the entries at positions ``near`` of conn, or all
-        # of them. Each pass of picks walks the open entries in (score, id)
-        # order, so the distinct scored picks are the first open entries in
-        # that order, at most M of them: the contenders of the M-th score.
-        near = masked = base = None
-        if score != RANDOM:
-            if len(conn) >= _PRUNE_MIN and self._proxy_ok and n_open > self.M:
-                near = np.flatnonzero(rr > 0)
-                near = near[self._contenders(peer, conn[near], self.M)]
-            ids = conn if near is None else conn[near]
-            base = self.space.delays_from(peer, ids)
-            if score == LEAST_DELAY:
-                base = self.d[ids] + base
-            # ``near`` holds open entries only.
-            masked = np.where(rr > 0, base, np.inf) if near is None else base.copy()
-
+        # Scored picks walk the open entries in (score, id) order: ``none``
+        # takes each entry's residual in turn, the diverse rule one pick per
+        # entry per pass. Either way they come from the first ``walked``
+        # entries in that order, the contenders of the ``walked``-th score.
         chosen: list[int] = []
-        while len(chosen) < self.M:
-            if n_open == 0:
-                raise CapacityExhausted(
-                    f"no residual upload capacity among connected peers "
-                    f"(picked {len(chosen)}/{self.M} for peer {peer})"
-                )
-            if score == RANDOM or (diversity == SMALL_WORLD and len(chosen) == self.M - 1):
-                open_pos = np.flatnonzero(rr > 0)
-                k = int(open_pos[self.rng.integers(len(open_pos))])
-                j, take = None, 1  # the last pick, or no scores at all
+        left: dict[int, int] = {}  # open position -> units left this round
+        if walked:
+            ids, near = open_ids, None
+            if n_open > walked and n_open >= _PRUNE_MIN and self._proxy_ok:
+                near = self._contenders(peer, open_ids, walked)
+                ids = open_ids[near]
+            score = self.space.delays_from(peer, ids)
+            if self.policy.score == LEAST_DELAY:
+                score = self.d[ids] + score
+            first = np.lexsort((ids, score))[:walked]
+            if near is not None:
+                first = near[first]
+            top = open_ids[first]
+            rr, top = self.residual[top].tolist(), top.tolist()
+            if diversity == NONE:
+                for j, r in zip(top, rr):
+                    chosen += [j] * min(r, m - len(chosen))
             else:
-                m = masked.min()
-                if m == np.inf:
-                    # Every open entry has taken its pick of this pass: the
-                    # next pass walks those still open in the same order.
-                    masked = np.where(rr > 0 if near is None else rr[near] > 0, base, np.inf)
-                    m = masked.min()
-                ties = np.flatnonzero(masked == m)
-                j = int(ties[np.argmin(ids[ties])]) if len(ties) > 1 else int(ties[0])
-                k = j if near is None else int(near[j])
-                # Without diversity the argmin stays the argmin until its
-                # residual runs out, so it takes those picks at once.
-                take = 1 if diversity != NONE else min(int(rr[k]), self.M - len(chosen))
-            chosen += [int(conn[k])] * take
-            rr[k] -= take
-            if rr[k] == 0:
-                n_open -= 1
-            if j is not None:
-                # A diverse entry waits for the next pass; a plain one is
-                # spent, or the round is full.
-                masked[j] = np.inf
+                # Pass k takes, in order, every entry with more than k units.
+                chosen = [j for k in range(walked) for j, r in zip(top, rr) if r > k][:walked]
+            if len(chosen) < walked:
+                raise self._exhausted(peer, chosen)
+            if walked == m:
+                return chosen
+            left = {p: r - chosen.count(j) for p, j, r in zip(first.tolist(), top, rr)}
+
+        # Random picks draw among the open entries, in admission order, less
+        # the open positions ``gone`` (ascending) that this round used up.
+        gone = sorted(p for p, r in left.items() if r == 0)
+        while len(chosen) < m:
+            if len(gone) == n_open:
+                raise self._exhausted(peer, chosen)
+            p = int(self.rng.integers(n_open - len(gone)))
+            for g in gone:
+                if g > p:
+                    break
+                p += 1
+            j = int(open_ids[p])
+            left[p] = left.get(p, int(self.residual[j])) - 1
+            if left[p] == 0:
+                bisect.insort(gone, p)
+            chosen.append(j)
         return chosen
+
+    def _exhausted(self, peer: int, chosen: list[int]) -> CapacityExhausted:
+        return CapacityExhausted(
+            f"no residual upload capacity among connected peers "
+            f"(picked {len(chosen)}/{self.M} for peer {peer})"
+        )
 
     def update_after_admission(self, peer: int, uploaders: list[int]) -> None:
         """Commit an admission: record edges, decrement capacities, set the
-        peer's overlay delay d, update F, and refresh selection caches."""
+        peer's overlay delay d, update F, and refresh selection caches.
+        Checks every uploader first, so a refused update changes nothing."""
         if len(uploaders) != self.M:
             raise ValueError(f"expected exactly {self.M} uploaders, got {len(uploaders)}")
-        mult = Counter(uploaders)
-        best = np.inf
+        if not self.unadmitted_mask[peer]:
+            raise ValueError(f"peer {peer} is already connected")
+        mult: dict[int, int] = {}
+        for j in uploaders:
+            mult[j] = mult.get(j, 0) + 1
+        left = []
         for j, c in mult.items():
             if self.unadmitted_mask[j]:
                 raise ValueError(f"uploader {j} is not connected yet")
-            self.edges[(j, peer)] = self.edges.get((j, peer), 0) + c
-            self.residual[j] -= c
-            if self.residual[j] < 0:
+            left.append(int(self.residual[j]) - c)
+            if left[-1] < 0:
                 raise CapacityExhausted(f"uploader {j} driven past its capacity")
-            score = self.d[j] + self.space.delay(j, peer)
-            if score < best:
-                best = score
-        self.d[peer] = best
-        self.F += int(self.u[peer]) - self.M
+
+        ups = np.fromiter(mult, np.int64, len(mult))
+        self.d[peer] = min((self.d[ups] + self.space.delays_from(peer, ups)).tolist())
+        for (j, c), r in zip(mult.items(), left):
+            self.edges[(j, peer)] = self.edges.get((j, peer), 0) + c
+            self.residual[j] = r
+            if r == 0:
+                self._close(j)
+        u_peer = int(self.u[peer])
+        self.F += u_peer - self.M
 
         self.unadmitted_mask[peer] = False
         if self._best_score is not None:
             self._best_score[peer] = np.inf
+        self._rank[peer] = self.n_connected
         self._conn_buf[self.n_connected] = peer
+        if u_peer > 0:
+            self._open[:, self._n_open] = peer, self.n_connected
+            self._n_open += 1
         self.n_connected += 1
         if self.pending is not None:
             if self.pending and self.pending[0] == peer:
@@ -584,12 +624,18 @@ class BuildState:
         if self._best_score is not None and self._seen is None:
             self._refresh_fixed_cache(peer)
 
+    def _close(self, j: int) -> None:
+        """Drop uploader j, whose residual just reached 0, from the open list."""
+        k = self._n_open
+        p = int(np.searchsorted(self._open[1, :k], self._rank[j]))
+        self._open[:, p : k - 1] = self._open[:, p + 1 : k]
+        self._n_open = k - 1
+
     def _rescore(self, i: int) -> None:
         """Recompute peer i's best eligible uploader from scratch. The
         admission guard keeps F + M > 0 upload units available, so some
         connected uploader is always open."""
-        conn = self.connected_ids
-        open_ids = conn[self.residual[conn] > 0]
+        open_ids = self.open_ids
         if len(open_ids) >= _PRUNE_MIN and self._proxy_ok:
             # Order-preserving, so the argmin below is still the first one.
             open_ids = open_ids[self._contenders(i, open_ids, 1)]
@@ -620,11 +666,11 @@ class BuildState:
         the scores that a refresh after every admission would hold. Its own
         cache may stay behind: :meth:`select_uploaders` rescans anyway.
         """
-        near = np.flatnonzero(scores <= best * (1 + self.n * 2.0**-46) + self.n * 2.0**-1000)
+        near = (scores <= best * (1 + self.n * 2.0**-46) + self.n * 2.0**-1000).nonzero()[0]
         behind = near[(self._seen[near] < self.n_connected) & (near != peer)]
+        open_ids, ranks = self._open[:, : self._n_open]
         for q in behind.tolist():
-            new = self._conn_buf[self._seen[q] : self.n_connected]
-            new = new[self.residual[new] > 0]
+            new = open_ids[np.searchsorted(ranks, self._seen[q]) :]
             self._seen[q] = self.n_connected
             if len(new):
                 vec = self.d[new] + self.space.delays_from(q, new)

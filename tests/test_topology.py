@@ -209,6 +209,49 @@ def test_capacity_exhausted_is_detected():
         state.select_uploaders(2)
 
 
+def build_snapshot(state):
+    """Everything an admission may change."""
+    return (
+        list(state.edges.items()), state.residual.tobytes(), state.d.tobytes(), state.F,
+        state.open_ids.tolist(), state.connected_ids.tolist(), state.unadmitted_mask.tobytes(),
+    )
+
+
+def test_refused_update_changes_nothing():
+    # Uploader 1 has 2 units left and uploader 2 has 16; peer 3 is unadmitted.
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, NONE))
+    before = build_snapshot(state)
+    with pytest.raises(CapacityExhausted):
+        state.update_after_admission(3, [2, 1, 1, 1])
+    with pytest.raises(ValueError, match="already connected"):
+        state.update_after_admission(1, [2, 2, 2, 2])
+    assert build_snapshot(state) == before
+    # An unconnected uploader, listed after one with capacity to spare.
+    state = BuildState(line_space(0.0, 0.1, 0.2), CapacityProfile(np.array([16, 4, 4])), PolicySpec.from_code("GR"))
+    before = build_snapshot(state)
+    with pytest.raises(ValueError, match="uploader 2 is not connected"):
+        state.update_after_admission(1, [0, 0, 2, 2])
+    assert build_snapshot(state) == before
+    state.update_after_admission(1, [0, 0, 0, 0])  # the state is still usable
+    assert state.edges == {(0, 1): 4} and state.residual.tolist() == [12, 4, 4]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_open_list_is_the_open_connected_ids_in_admission_order(kind):
+    # Above the cutoff, so the scans that read the list also prune; a peer
+    # with u_i = 0 is connected but never open.
+    n = topology._PRUNE_MIN + 88
+    space = generate(DistributionSpec.preset(kind, n, 5))
+    caps = CapacityProfile.sample(n, make_rng(5, "capacities"), (0, 1, 5, 16))
+    assert (caps.u == 0).sum() > 100
+    for code in ALL_POLICY_CODES:
+        state = BuildState(space, caps, PolicySpec.from_code(code), 4, seed=5)
+        while not state.done():
+            state.admit_next()
+            conn = state.connected_ids
+            assert np.array_equal(state.open_ids, conn[state.residual[conn] > 0]), code
+
+
 # ------------------------------------------------------------ peer choice
 
 
