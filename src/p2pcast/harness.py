@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -247,7 +248,8 @@ def run_cell(
 def read_results_csv(path) -> list[CellResult]:
     """Parse a raw results file back into :class:`CellResult` rows.
 
-    Raises ValueError naming the file and line of any malformed row.
+    Raises ValueError naming the file and line of any malformed row, such as
+    one with metrics not all finite with ``failed=0`` or not all blank with 1.
     """
     out: list[CellResult] = []
     with open(path, newline="") as f:
@@ -264,6 +266,12 @@ def read_results_csv(path) -> list[CellResult]:
                     raise ValueError(f"policy {r['policy']!r} is not one of {ALL_POLICY_CODES}")
                 if r["distribution"] not in KINDS:
                     raise ValueError(f"distribution {r['distribution']!r} is not one of {KINDS}")
+                failed = r["failed"] == "1"
+                want = "blank" if failed else "a finite number"
+                for c in METRIC_COLUMNS:
+                    ok = r[c] == "" if failed else r[c] != "" and math.isfinite(float(r[c]))
+                    if not ok:
+                        raise ValueError(f"{c} {r[c]!r} is not {want} with failed={r['failed']}")
                 out.append(
                     CellResult(
                         policy=r["policy"],
@@ -271,8 +279,8 @@ def read_results_csv(path) -> list[CellResult]:
                         n=int(r["n"]),
                         run=int(r["run"]),
                         seed=int(r["seed"]),
-                        **{c: float(r[c]) if r[c] else None for c in METRIC_COLUMNS},
-                        failed=r["failed"] == "1",
+                        **{c: None if failed else float(r[c]) for c in METRIC_COLUMNS},
+                        failed=failed,
                     )
                 )
             except ValueError as exc:
@@ -350,9 +358,11 @@ def run_experiment(
     :func:`run_cell`).
     ``parallel`` > 1 distributes cells over worker processes; results are
     written in canonical order either way, so parallelism changes wall time
-    only. Returns all cell results plus the aggregate rows, which are also
-    rewritten to ``out_dir/agg.csv``.
+    only. ``parallel`` below 1 raises ValueError. Returns all cell results
+    plus the aggregate rows, which are also rewritten to ``out_dir/agg.csv``.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
 
@@ -383,7 +393,7 @@ def run_experiment(
 
     todo = [(*cell, config.master_seed, config.sim) for cell in iter_cells(config) if cell not in done]
 
-    serial = parallel <= 1 or not todo
+    serial = parallel == 1 or not todo
     with open(results_path, mode, encoding="ascii", newline="\n") as f, (
         contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=parallel)
     ) as pool:

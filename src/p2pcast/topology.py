@@ -338,9 +338,9 @@ class BuildState:
 
     The open list (:attr:`open_ids`) keeps the connected nodes with residual
     capacity left, in admission order: an admitted peer with u_i > 0 joins
-    its end, and an uploader whose residual reaches 0 leaves it by a binary
-    search on its admission rank and one slice shift. Uploader picks and
-    rescores scan it, not every connected node.
+    its end, and an uploader whose residual reaches 0 is found by one
+    comparison over the list and leaves it by one slice shift. Uploader
+    picks and rescores scan it, not every connected node.
 
     Diversity is no score term: a diverse pick takes the open uploader with
     the fewest picks this round, ties to the lowest score, then the lowest
@@ -352,6 +352,9 @@ class BuildState:
     :meth:`update_after_admission` checks every uploader (connected, with
     the capacity asked of it) before it changes anything, so a refused
     update leaves the state as it was.
+
+    A least-delay cache is not refreshed on admission; :meth:`_rescore_rivals`
+    rescores the candidates whose cached scores tie the lowest within rounding.
 
     Scans of at least ``_PRUNE_MIN`` entries (uploader picks, rescores and
     the closest-cache refresh) rule out by proxy scores the entries that
@@ -406,11 +409,9 @@ class BuildState:
         self._conn_buf = np.empty(n, dtype=np.int64)
         self._conn_buf[0] = 0
         self.n_connected = 1
-        self._rank = np.zeros(n, dtype=np.int64)  # position in admission order
-        # The open list: row 0 holds the connected ids with residual > 0 in
-        # admission order, row 1 their ranks, ascending, to find an entry by
-        # binary search. The peercaster starts open: u_0 >= M >= 1.
-        self._open = np.zeros((2, n), dtype=np.int64)
+        # The open list: the connected ids with residual > 0 in admission
+        # order, a prefix of this buffer. The peercaster starts open: u_0 >= M >= 1.
+        self._open = np.zeros(n, dtype=np.int64)
         self._n_open = 1
         self.unadmitted_mask = np.ones(n, dtype=bool)
         self.unadmitted_mask[0] = False
@@ -423,19 +424,13 @@ class BuildState:
 
         # Fixed scored policies keep a best-eligible-uploader cache per
         # unadmitted peer, invalidated when the cached uploader exhausts.
-        # Least-delay caches are not refreshed on admission; _seen[i] counts
-        # the connected nodes, in admission order, that peer i's cache has
-        # scored (see _catch_up_rivals).
         self._best_score: np.ndarray | None = None
         self._best_up: np.ndarray | None = None
-        self._seen: np.ndarray | None = None
         if not self._arrival_order:
             base = space.delays_from(0)  # d[0] == 0, so closest == least_delay here
             self._best_score = base.copy()
             self._best_score[0] = np.inf
             self._best_up = np.zeros(n, dtype=np.int64)
-            if policy.score == LEAST_DELAY:
-                self._seen = np.ones(n, dtype=np.int64)
 
         self._proxy_ok = proxy_ok
 
@@ -449,7 +444,7 @@ class BuildState:
     @property
     def open_ids(self) -> np.ndarray:
         """Connected nodes with residual capacity left, in admission order."""
-        return self._open[0, : self._n_open]
+        return self._open[: self._n_open]
 
     def done(self) -> bool:
         return self.n_connected == self.n
@@ -457,19 +452,29 @@ class BuildState:
     def _guard(self, i: int) -> bool:
         return int(self.u[i]) + self.F >= self.M
 
-    def _contenders(self, i: int, ids: np.ndarray, k: int) -> np.ndarray:
-        """Ascending positions into ``ids`` (at least ``k`` connected ids)
-        that hold every entry whose exact score for peer i is at most the
-        k-th smallest, so the first k in any tie order. It keeps each proxy
-        score at most the k-th smallest proxy score widened twice: the k
-        entries with the smallest proxies score at most one widening above
-        it, so the k-th smallest exact score does too, and an entry scoring
-        at most that has a proxy at most one widening more (:func:`_widen`)."""
-        q = self.space.proxy_delays_from(i, ids)
+    def _scan(
+        self, i: int, ids: np.ndarray, k: int
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """Peer i's exact scores of the entries of ``ids`` (at least ``k``
+        connected ids) that can be among its k lowest in any tie order, as
+        (kept positions, ascending, or None for all; kept ids; scores).
+        Scans of at least ``_PRUNE_MIN`` entries keep each proxy score at
+        most the k-th smallest proxy score widened twice: the k entries with
+        the smallest proxies score at most one widening above it, so the
+        k-th smallest exact score does too, and an entry scoring at most
+        that has a proxy at most one widening more (:func:`_widen`)."""
+        near = None
+        if len(ids) > k and len(ids) >= _PRUNE_MIN and self._proxy_ok:
+            q = self.space.proxy_delays_from(i, ids)
+            if self.policy.score == LEAST_DELAY:
+                q += self.d[ids]
+            kth = np.partition(q, k - 1)[k - 1]
+            near = (q <= _widen(_widen(kth))).nonzero()[0]
+            ids = ids[near]
+        score = self.space.delays_from(i, ids)
         if self.policy.score == LEAST_DELAY:
-            q += self.d[ids]
-        kth = np.partition(q, k - 1)[k - 1]
-        return (q <= _widen(_widen(kth))).nonzero()[0]
+            score = self.d[ids] + score
+        return near, ids, score
 
     # -- admission steps -------------------------------------------------
 
@@ -494,14 +499,14 @@ class BuildState:
         # and only under-estimate once it exhausts, so validating the winner
         # (and re-scoring it if stale) converges on the true argmin. A
         # least-delay cache may also sit a rounding step above the true
-        # score; _catch_up_rivals settles the candidates where that matters.
+        # score; _rescore_rivals settles the candidates where that matters.
         while True:
             scores = np.where(candidates, self._best_score, np.inf) if limited else self._best_score
             peer = int(scores.argmin())  # the first minimum: ties go to the lowest node id
             best = scores[peer]
             if self.residual[self._best_up[peer]] <= 0:
                 self._rescore(peer)
-            elif self._seen is None or not self._catch_up_rivals(peer, scores, best):
+            elif self.policy.score == CLOSEST or not self._rescore_rivals(peer, scores, best):
                 return peer
 
     def select_uploaders(self, peer: int) -> list[int]:
@@ -519,17 +524,11 @@ class BuildState:
         chosen: list[int] = []
         left: dict[int, int] = {}  # open position -> units left this round
         if walked:
-            ids, near = open_ids, None
-            if n_open > walked and n_open >= _PRUNE_MIN and self._proxy_ok:
-                near = self._contenders(peer, open_ids, walked)
-                ids = open_ids[near]
-            score = self.space.delays_from(peer, ids)
-            if self.policy.score == LEAST_DELAY:
-                score = self.d[ids] + score
+            near, ids, score = self._scan(peer, open_ids, walked)
             first = np.lexsort((ids, score))[:walked]
+            top = ids[first]
             if near is not None:
                 first = near[first]
-            top = open_ids[first]
             rr, top = self.residual[top].tolist(), top.tolist()
             if diversity == NONE:
                 for j, r in zip(top, rr):
@@ -599,10 +598,9 @@ class BuildState:
         self.unadmitted_mask[peer] = False
         if self._best_score is not None:
             self._best_score[peer] = np.inf
-        self._rank[peer] = self.n_connected
         self._conn_buf[self.n_connected] = peer
         if u_peer > 0:
-            self._open[:, self._n_open] = peer, self.n_connected
+            self._open[self._n_open] = peer
             self._n_open += 1
         self.n_connected += 1
         if self.pending is not None:
@@ -610,75 +608,60 @@ class BuildState:
                 self.pending.popleft()
             else:
                 self.pending.remove(peer)
-
-        # A least-delay cache skips this refresh, which scores every
-        # unadmitted peer t against the new node and, in exact arithmetic,
-        # never improves one: the new node's score d[new] + delay(new, t) is
-        # at least d[j] + delay(j, t) for the uploader j that set d[new], and
-        # t's cache has already scored j. In floating point a refresh can
-        # still win by an ulp or two when j, the new node and t are collinear
-        # within rounding, and that can decide a tie in admission order
-        # (without _catch_up_rivals, which settles those cases, the
-        # differential tests against the old builder fail on lattice and
-        # collinear coordinates).
-        if self._best_score is not None and self._seen is None:
-            self._refresh_fixed_cache(peer)
+        if self._best_score is not None and self.policy.score == CLOSEST:
+            self._refresh_fixed_cache(peer)  # least-delay: see _rescore_rivals
 
     def _close(self, j: int) -> None:
         """Drop uploader j, whose residual just reached 0, from the open list."""
         k = self._n_open
-        p = int(np.searchsorted(self._open[1, :k], self._rank[j]))
-        self._open[:, p : k - 1] = self._open[:, p + 1 : k]
+        p = int((self._open[:k] == j).argmax())
+        self._open[p : k - 1] = self._open[p + 1 : k]
         self._n_open = k - 1
 
     def _rescore(self, i: int) -> None:
         """Recompute peer i's best eligible uploader from scratch. The
         admission guard keeps F + M > 0 upload units available, so some
         connected uploader is always open."""
-        open_ids = self.open_ids
-        if len(open_ids) >= _PRUNE_MIN and self._proxy_ok:
-            # Order-preserving, so the argmin below is still the first one.
-            open_ids = open_ids[self._contenders(i, open_ids, 1)]
-        vec = self.space.delays_from(i, open_ids)
-        if self.policy.score == LEAST_DELAY:
-            vec = self.d[open_ids] + vec
-        k = int(vec.argmin())
-        self._best_score[i] = vec[k]
-        self._best_up[i] = int(open_ids[k])
-        if self._seen is not None:
-            self._seen[i] = self.n_connected
+        _, ids, score = self._scan(i, self.open_ids, 1)
+        k = int(score.argmin())  # the first minimum: ties go to the earliest admitted
+        self._best_score[i] = score[k]
+        self._best_up[i] = int(ids[k])
 
-    def _catch_up_rivals(self, peer: int, scores: np.ndarray, best: float) -> bool:
-        """Least-delay only: let the nodes admitted since each rival's cache
-        last looked improve it, for every candidate other than ``peer`` whose
-        cached score lies within rounding of ``best``. True if there was one.
+    def _rescore_rivals(self, peer: int, scores: np.ndarray, best: float) -> bool:
+        """Least-delay only: rescore every candidate other than ``peer``
+        whose cached score lies within rounding of ``best``, ``peer``'s (its
+        uploader is open). True if one of those scores changed.
 
-        Each such node got its d from an uploader j that was open when the
-        rival's cache looked, so the cache holds j's score or less, and by
-        the triangle inequality the node's score is at least j's up to
-        rounding. In units of 2**-53, a delay carries at most 3 (coordinate
-        difference, ``np.hypot`` within 1 ulp) and each sum 1 more, so one
-        link of such a chain undercuts by at most 10 units, relative. A
-        chain has at most n links: ``n * 2**-46`` relative (128 units per
-        link) plus ``n * 2**-1000`` for subnormal results bounds the
-        undercut. A rival beyond it can neither beat nor tie ``best``; once
-        every rival within it is current, ``peer`` is the lowest-id argmin of
-        the scores that a refresh after every admission would hold. Its own
+        A least-delay cache skips the refresh on admission, which scores
+        each unadmitted peer t against the new node and, in exact
+        arithmetic, never improves one: d[new] + delay(new, t) is at least
+        d[j] + delay(j, t) for the uploader j that set d[new], and j was open
+        when t's cache last looked, or joined since and so on back. In units
+        of 2**-53, a delay carries at most 3 (coordinate difference,
+        ``np.hypot`` within 1 ulp) and each sum 1 more, so one link of such
+        a chain undercuts by at most 10 units, relative. A chain has at most
+        n links: ``n * 2**-46`` relative (128 units per link) plus
+        ``n * 2**-1000`` for subnormal results bounds the undercut, so a
+        candidate beyond that window scores above ``best`` against every
+        open uploader.
+
+        A rescore sets V_t, t's lowest score over the open uploaders. A cache
+        refreshed after every admission (``ReferenceBuildState``) has scored
+        every open uploader, so it holds V_t while its uploader is open and
+        at most V_t once that closes; as it rescores a winner whose uploader
+        closed, it admits the lowest-id argmin of V. Here, once no rescore
+        changes a score, the rivals hold V_t, the others score above
+        ``best``, and V_peer <= ``best``: ``peer`` is that argmin. Its own
         cache may stay behind: :meth:`select_uploaders` rescans anyway.
         """
-        near = (scores <= best * (1 + self.n * 2.0**-46) + self.n * 2.0**-1000).nonzero()[0]
-        behind = near[(self._seen[near] < self.n_connected) & (near != peer)]
-        open_ids, ranks = self._open[:, : self._n_open]
-        for q in behind.tolist():
-            new = open_ids[np.searchsorted(ranks, self._seen[q]) :]
-            self._seen[q] = self.n_connected
-            if len(new):
-                vec = self.d[new] + self.space.delays_from(q, new)
-                k = int(vec.argmin())
-                if vec[k] < self._best_score[q]:
-                    self._best_score[q] = vec[k]
-                    self._best_up[q] = int(new[k])
-        return len(behind) > 0
+        window = best * (1 + self.n * 2.0**-46) + self.n * 2.0**-1000
+        changed = False
+        for q in (scores <= window).nonzero()[0].tolist():
+            if q != peer:
+                old = self._best_score[q]
+                self._rescore(q)
+                changed |= bool(self._best_score[q] != old)
+        return changed
 
     def _refresh_fixed_cache(self, new_node: int) -> None:
         """Let the newly admitted node improve unadmitted peers' cached

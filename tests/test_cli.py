@@ -237,6 +237,33 @@ def test_aggregate_rejects_malformed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("GR,flat,10,0,123,,,,,0", "min_delay_mean_s '' is not a finite number with failed=0"),
+        ("GR,flat,10,0,123,0.1,0.2,0.3,0.4,1", "min_delay_mean_s '0.1' is not blank with failed=1"),
+        ("GR,flat,10,0,123,0.1,inf,0.3,0.4,0", "tree_delay_mean_s 'inf' is not a finite number with failed=0"),
+        ("GR,flat,10,0,123,0.1,0.2,nan,0.4,0", "mean_node_vuln 'nan' is not a finite number with failed=0"),
+    ],
+)
+def test_aggregate_rejects_contradictory_metrics(tmp_path, capsys, row, reason):
+    raw = tmp_path / "results.csv"
+    raw.write_text(f"{RESULTS_HEADER}\n{row}\n")
+    assert main(["aggregate", str(raw)]) == 2
+    assert capsys.readouterr().err == f"error: malformed row in {raw}, line 2: {reason}\n"
+    assert not (tmp_path / "agg.csv").exists()
+
+
+@pytest.mark.parametrize("command, parallel", [("run", "-3"), ("demo", "0")])
+def test_parallel_below_1_exits_2(config_file, tmp_path, capsys, command, parallel):
+    out = tmp_path / "out"
+    args = ["run", "--config", str(config_file)] if command == "run" else ["demo"]
+    assert main(args + ["--out", str(out), "--parallel", parallel]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: parallel must be at least 1, got {parallel}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_verify_accepts_built_topology(tmp_path, capsys):
     space = generate(DistributionSpec.preset("flat", 20, 3))
     caps = CapacityProfile.sample(20, make_rng(3, "capacities"))

@@ -377,6 +377,42 @@ def test_read_results_csv_names_malformed_row(tmp_path):
             run_experiment(TINY, out)
 
 
+@pytest.mark.parametrize(
+    "cols, reason",
+    [
+        ({5: "", 6: "", 7: "", 8: ""}, "min_delay_mean_s '' is not a finite number with failed=0"),
+        ({7: ""}, "mean_node_vuln '' is not a finite number with failed=0"),
+        ({9: "1"}, "min_delay_mean_s {5!r} is not blank with failed=1"),
+        ({5: "", 6: "", 7: "", 9: "1"}, "max_sys_vuln {8!r} is not blank with failed=1"),
+        ({5: "nan"}, "min_delay_mean_s 'nan' is not a finite number with failed=0"),
+        ({8: "-inf"}, "max_sys_vuln '-inf' is not a finite number with failed=0"),
+        ({6: "1e400"}, "tree_delay_mean_s '1e400' is not a finite number with failed=0"),
+    ],
+)
+def test_resume_refuses_contradictory_metrics(tmp_path, cols, reason):
+    # Blank metrics on a row that did not fail, metrics on one that did, or
+    # values no cell yields: a resume must neither keep nor aggregate them.
+    run_experiment(TINY, tmp_path)
+    path = tmp_path / "results.csv"
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    assert row[-1] == "0"
+    for k, v in cols.items():
+        row[k] = v
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    message = f"malformed row in {path}, line 3: {reason.format(*row)}"
+    with pytest.raises(ValueError) as exc:
+        read_results_csv(path)
+    assert str(exc.value) == message
+    calls = []
+    with pytest.raises(ValueError) as exc:
+        run_experiment(TINY, tmp_path, progress=calls.append)
+    assert str(exc.value) == message
+    assert calls == [] and path.read_bytes() == before
+
+
 def test_resume_refuses_the_old_results_header(tmp_path):
     # A results.csv from before the build_ms wall-time column was dropped.
     out = tmp_path / "exp"
@@ -479,6 +515,30 @@ def test_full_grid_small_sizes_keep_their_bytes(tmp_path):
         for name in FULL_GRID_SMALL_SHA256
     }
     assert digests == FULL_GRID_SMALL_SHA256
+
+
+#: sha256 of the outputs of all of ``configs/full_grid.cfg`` at master seed 0
+#: (numpy 2.4.6, scipy 1.17.1): the only byte pin of sizes at or above
+#: ``topology._PRUNE_MIN``, where the builder prunes its scans.
+FULL_GRID_SHA256 = {
+    "results.csv": "9c834ebe31554b991bf85baf0d4b5d449970c475ab77fa2307ef09430c70eb03",
+    "agg.csv": "b7239ce9d6c54d12070a61d0e3468a9704b43c430ec7fed3b76edd906d4bfb89",
+}
+
+
+@pytest.mark.skipif(
+    os.environ.get("P2PCAST_FULL_GRID") != "1",
+    reason="all 1134 cells take about a minute at parallel=2; set P2PCAST_FULL_GRID=1",
+)
+def test_full_grid_keeps_its_bytes(tmp_path):
+    config_path = Path(__file__).resolve().parents[1] / "configs" / "full_grid.cfg"
+    config = config_from_mapping(parse_config(config_path.read_text()), master_seed=0)
+    run_experiment(config, tmp_path, parallel=2)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FULL_GRID_SHA256
+    }
+    assert digests == FULL_GRID_SHA256
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):

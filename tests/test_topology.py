@@ -431,6 +431,23 @@ def test_build_matches_reference_builder_on_degenerate_coordinates(name):
         assert got.edges == want.edges and np.array_equal(got.residual_u, want.residual_u)
 
 
+@pytest.mark.parametrize("name", ["collinear-x", "collinear-slanted"])
+def test_rival_rescores_change_scores_on_collinear_coordinates(monkeypatch, name):
+    # A least-delay cache skips the refresh on admission. On these
+    # coordinates rival rescores change cached scores, and the builds need
+    # them: with _rescore_rivals returning False, the test above fails here.
+    changed = []
+    rescore_rivals = BuildState._rescore_rivals
+
+    def counting(self, *args):
+        changed.append(rescore_rivals(self, *args))
+        return changed[-1]
+
+    monkeypatch.setattr(BuildState, "_rescore_rivals", counting)
+    test_build_matches_reference_builder_on_degenerate_coordinates(name)
+    assert sum(changed) > 0
+
+
 def test_tier_key_parts_from_the_penalty_only_where_the_penalty_degenerates():
     # The exact (picks, score, id) key and the penalty base + picks * L
     # agree wherever base + L keeps distinct bases apart. They part on
