@@ -18,7 +18,12 @@ Only peers have substream paths: a connection into the peercaster carries
 none and counts toward neither vulnerability.
 
 Shortest paths come from ``scipy.sparse.csgraph.dijkstra`` over the edges in
-their canonical order (:meth:`Topology.edge_arrays`). Realized paths come
+their canonical order (:meth:`Topology.edge_arrays`), sorted by uploader and
+then downloader, which is already CSR order: every csgraph input is built
+from those arrays directly, with one ``searchsorted`` for the row pointers.
+:func:`compute_metrics` reads the edge delays once and runs one full-graph
+Dijkstra per topology; its tree is also the first tree the tree delay
+removes, so a cell takes M Dijkstra runs in all. Realized paths come
 from a deterministic shortest-path tree: the k-th substream path of node i is
 the realized shortest path to its k-th uploader j plus the final hop (j, i).
 Ties in the tree are broken toward the lowest predecessor id among
@@ -57,16 +62,22 @@ def _edge_arrays(topology: Topology, space: DelaySpace):
     return ul, dl, space.edge_delays(ul, dl), mult
 
 
+def _csr(n: int, rows, cols, data) -> csr_matrix:
+    """The n x n matrix with ``data`` at (``rows``, ``cols``), which are in
+    canonical edge order: sorted by row, then column, without repeats."""
+    return csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+
+
 def _dijkstra(n: int, ul, dl, w) -> tuple[np.ndarray, np.ndarray]:
-    """Single-source shortest paths from node 0 over the given edge list.
+    """Single-source shortest paths from node 0 over the given edge list,
+    in canonical edge order.
 
     Returns (dist, pred). Unreachable nodes get dist=inf, pred=-1. Among
     predecessors u with dist[u] + w(u,v) == dist[v] and dist[u] < dist[v],
     the lowest node id wins; only degenerate zero-delay hops keep the
     predecessor of scipy's traversal order.
     """
-    graph = csr_matrix((w, (ul, dl)), shape=(n, n))
-    dist, pred = dijkstra(graph, indices=0, return_predecessors=True)
+    dist, pred = dijkstra(_csr(n, ul, dl, w), indices=0, return_predecessors=True)
     pred = np.maximum(pred, -1).astype(np.int64)
     # Deterministic predecessor cleanup: lowest-id strictly-closer tight edge.
     tight = (dist[ul] + w == dist[dl]) & (dist[ul] < dist[dl])
@@ -110,16 +121,21 @@ def tree_delay(topology: Topology, space: DelaySpace, m: int) -> tuple[np.ndarra
     """
     n = topology.n_nodes
     ul, dl, w, mult = _edge_arrays(topology, space)
+    return _tree_delay(n, ul, dl, w, mult, m, *_dijkstra(n, ul, dl, w))
+
+
+def _tree_delay(n: int, ul, dl, w, mult, m: int, dist, pred) -> tuple[np.ndarray, float]:
+    """:func:`tree_delay` over the canonical edge arrays, given ``dist`` and
+    ``pred`` of all of them: multiplicities are positive, so that is the
+    first tree."""
     mult = mult.copy()  # the tree edges are removed from this copy
     keys = ul * n + dl  # sorted, as the edges are
     for _ in range(m - 1):
-        live = mult > 0
-        _, pred = _dijkstra(n, ul[live], dl[live], w[live])
         # One tree edge per reached peer, so the indices are distinct.
         v = np.flatnonzero(pred >= 0)
         mult[np.searchsorted(keys, pred[v] * n + v)] -= 1
-    live = mult > 0
-    dist, _ = _dijkstra(n, ul[live], dl[live], w[live])
+        live = mult > 0
+        dist, pred = _dijkstra(n, ul[live], dl[live], w[live])
     if not np.isfinite(dist[1:]).all():
         missing = int(np.flatnonzero(~np.isfinite(dist))[0])
         raise ValueError(
@@ -257,12 +273,15 @@ class MetricsReport:
 
 
 def compute_metrics(topology: Topology, space: DelaySpace, m: int) -> MetricsReport:
-    """Evaluate all four metrics on a feasible topology."""
-    dist, pred = shortest_paths(topology, space)
+    """Evaluate all four metrics on a feasible topology: one read of the
+    edge delays and ``m`` Dijkstra runs, the first shared by all four."""
+    n = topology.n_nodes
+    ul, dl, w, mult = _edge_arrays(topology, space)
+    dist, pred = _dijkstra(n, ul, dl, w)
     if not np.isfinite(dist[1:]).all():
         missing = int(np.flatnonzero(~np.isfinite(dist))[0])
         raise ValueError(f"node {missing} is unreachable from the peercaster")
-    tree, tree_mean = tree_delay(topology, space, m)
+    tree, tree_mean = _tree_delay(n, ul, dl, w, mult, m, dist, pred)
     table = PathTable(topology, pred, m)
     v_arr, v_mean = node_vulnerability(table)
     s_arr, s_max = system_vulnerability(table)
@@ -292,29 +311,37 @@ class FeasibilityReport:
         return self.ok
 
 
-def _flow_graph(topology: Topology, cap: int | None = None) -> csr_matrix:
-    """The multigraph with connection multiplicities, clipped at ``cap`` if
-    given, as edge capacities."""
+def _flow_graph(topology: Topology, cap: int) -> csr_matrix:
+    """The multigraph with connection multiplicities, clipped at ``cap``, as
+    edge capacities."""
     ul, dl, mult = topology.edge_arrays()
-    if cap is not None:
-        mult = np.minimum(mult, cap)
-    n = topology.n_nodes
-    return csr_matrix((mult.astype(np.int32), (ul, dl)), shape=(n, n))
+    mult = np.minimum(mult, cap)
+    return _csr(topology.n_nodes, ul, dl, mult.astype(np.int32))
 
 
 def max_flow(topology: Topology, sink: int, source: int = 0) -> int:
     """Exact maximum flow from ``source`` to ``sink`` with the connection
-    multiplicities as edge capacities."""
-    return int(maximum_flow(_flow_graph(topology), source, sink).flow_value)
+    multiplicities as edge capacities. No flow exceeds the sink's incoming
+    connections, so capacities are clipped there, as :func:`verify_feasible`
+    clips them at M; raises ValueError if that total exceeds 2**31 - 1, the
+    largest capacity of the int32 flow graph."""
+    cap = int(topology.in_multiplicity()[sink])
+    if cap > np.iinfo(np.int32).max:
+        raise ValueError(f"node {sink} has {cap} incoming connections, beyond the int32 flow capacities")
+    return int(maximum_flow(_flow_graph(topology, cap), source, sink).flow_value)
 
 
-def _cycle_nodes(graph: csr_matrix) -> list[int]:
+def _cycle_nodes(topology: Topology) -> list[int]:
     """Ids, in increasing order, of the peers on a directed cycle that avoids
     node 0: members of a strongly connected component of two or more peers,
     and peers with a self-loop."""
-    peers = graph[1:, 1:]
-    _, labels = connected_components(peers, directed=True, connection="strong")
-    on_cycle = (np.bincount(labels)[labels] > 1) | (peers.diagonal() != 0)
+    ul, dl, _ = topology.edge_arrays()
+    peers = (ul != 0) & (dl != 0)
+    ul, dl = ul[peers] - 1, dl[peers] - 1  # the peer subgraph, still in canonical order
+    graph = _csr(topology.n_nodes - 1, ul, dl, np.ones(len(ul)))
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    on_cycle = np.bincount(labels)[labels] > 1
+    on_cycle[ul[ul == dl]] = True
     return (np.flatnonzero(on_cycle) + 1).tolist()
 
 
@@ -333,10 +360,13 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
 
     Stops at the first violation and reports which requirement failed; a
     requirement-3 failure names the lowest-id peer short of ``m`` paths.
-    Raises ValueError for ``m`` below 1 or a profile of another size.
+    Raises ValueError for ``m`` below 1 or above 2**31 - 1, the largest
+    capacity of the int32 flow graph, or a profile of another size.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
+    if m > np.iinfo(np.int32).max:
+        raise ValueError(f"M must be at most 2**31 - 1, the largest int32 flow capacity, got {m}")
     n = topology.n_nodes
     if caps.n_nodes != n:
         raise ValueError(f"capacity profile covers {caps.n_nodes} nodes, topology has {n}")
@@ -358,6 +388,9 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
             f"requirement 2 violated: node {i} uploads {int(out_mult[i])} connections "
             f"but has capacity {int(caps.u[i])}",
         )
+    cycle = _cycle_nodes(topology)
+    if not cycle:
+        return FeasibilityReport(True)
     # Clipping capacities at m leaves every cut's min(value, m) intact, so the
     # >= m test is unchanged and failing flow values are exact.
     graph = _flow_graph(topology, m)
@@ -368,7 +401,7 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
             flows[i] = int(maximum_flow(graph, 0, i).flow_value)
         return flows[i]
 
-    short = next((i for i in _cycle_nodes(graph) if flow_to(i) < m), None)
+    short = next((i for i in cycle if flow_to(i) < m), None)
     if short is None:
         return FeasibilityReport(True)
     # The lowest-id peer short of m paths is at or below ``short``.

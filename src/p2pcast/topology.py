@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -188,8 +189,8 @@ class CapacityProfile:
 class Topology:
     """A built overlay: multigraph edges plus leftover upload capacity.
 
-    ``edges`` maps (uploader, downloader) to the connection multiplicity.
-    Treat instances as immutable once built.
+    ``edges`` maps (uploader, downloader) to the connection multiplicity,
+    a positive integer. Treat instances as immutable once built.
     """
 
     def __init__(self, n_nodes: int, edges: dict[tuple[int, int], int], residual_u: np.ndarray):
@@ -199,6 +200,8 @@ class Topology:
         self.residual_u.flags.writeable = False
         pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
         mult = np.fromiter(edges.values(), np.int64, len(edges))
+        if len(mult) and mult.min() <= 0:
+            raise ValueError(f"edge multiplicities must be positive, got {int(mult.min())}")
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         arrays = np.stack([pairs[order, 0], pairs[order, 1], mult[order]])
         arrays.flags.writeable = False
@@ -210,13 +213,28 @@ class Topology:
         order every consumer reads. Built once, from ``edges`` as given; read-only."""
         return self._edge_arrays
 
+    def _node_totals(self, nodes: np.ndarray, what: str) -> np.ndarray:
+        """Exact int64 sums of the multiplicities by ``nodes``, one of the
+        edge arrays. Raises ValueError naming the lowest node whose sum
+        leaves the int64 range: that sum wraps by a multiple of 2**64, so it
+        lies at least 2**63 from its float64 estimate, where an exact sum
+        lies within a rounding error far below 2**62."""
+        mult = self._edge_arrays[2]
+        total = np.zeros(self.n_nodes, dtype=np.int64)
+        np.add.at(total, nodes, mult)
+        estimate = np.bincount(nodes, weights=mult, minlength=self.n_nodes)
+        wrapped = np.flatnonzero(np.abs(estimate - total) >= 2.0**62)
+        if len(wrapped):
+            raise ValueError(f"the {what} connections of node {int(wrapped[0])} sum beyond the int64 range")
+        return total
+
     def in_multiplicity(self) -> np.ndarray:
-        _, dl, mult = self.edge_arrays()
-        return np.bincount(dl, weights=mult, minlength=self.n_nodes).astype(np.int64)
+        """Incoming connections per node, exactly."""
+        return self._node_totals(self._edge_arrays[1], "incoming")
 
     def out_multiplicity(self) -> np.ndarray:
-        ul, _, mult = self.edge_arrays()
-        return np.bincount(ul, weights=mult, minlength=self.n_nodes).astype(np.int64)
+        """Outgoing connections per node, exactly."""
+        return self._node_totals(self._edge_arrays[0], "outgoing")
 
     def upload_capacity(self) -> np.ndarray:
         """Reconstruct u from residuals and realised uploads."""
@@ -351,7 +369,11 @@ class BuildState:
 
     :meth:`update_after_admission` checks every uploader (connected, with
     the capacity asked of it) before it changes anything, so a refused
-    update leaves the state as it was.
+    update leaves the state as it was. It sets ``d[peer]``, the lowest
+    ``d[j] + delay(peer, j)`` over the uploaders j, from the exact scores
+    of the scan that picked them: under least-delay the scan's lowest
+    score, under closest ``d[j] +`` score over the scored picks. Only
+    random picks (FR, GR, the closest small-world tail) query their delays.
 
     A least-delay cache is not refreshed on admission; :meth:`_rescore_rivals`
     rescores the candidates whose cached scores tie the lowest within rounding.
@@ -433,6 +455,9 @@ class BuildState:
             self._best_up = np.zeros(n, dtype=np.int64)
 
         self._proxy_ok = proxy_ok
+        # The last scored pick of select_uploaders: (peer, uploaders, d[peer]
+        # through them).
+        self._offer: tuple[int, tuple[int, ...], float] | None = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -511,8 +536,10 @@ class BuildState:
 
     def select_uploaders(self, peer: int) -> list[int]:
         """Choose the peer's M uploaders (repetition allowed), respecting
-        residual capacities connection by connection. Does not mutate state;
-        :meth:`update_after_admission` applies the result."""
+        residual capacities connection by connection. Changes no build
+        state; :meth:`update_after_admission` applies the result. A scored
+        pick keeps the peer's overlay delay through these uploaders, taken
+        from the scan's scores, for that update to reuse."""
         open_ids, m, diversity = self.open_ids, self.M, self.policy.diversity
         n_open = len(open_ids)
         walked = 0 if self.policy.score == RANDOM else m - 1 if diversity == SMALL_WORLD else m
@@ -526,10 +553,10 @@ class BuildState:
         if walked:
             near, ids, score = self._scan(peer, open_ids, walked)
             first = np.lexsort((ids, score))[:walked]
-            top = ids[first]
+            top_ids, best = ids[first], score[first]
             if near is not None:
                 first = near[first]
-            rr, top = self.residual[top].tolist(), top.tolist()
+            rr, top = self.residual[top_ids].tolist(), top_ids.tolist()
             if diversity == NONE:
                 for j, r in zip(top, rr):
                     chosen += [j] * min(r, m - len(chosen))
@@ -538,9 +565,17 @@ class BuildState:
                 chosen = [j for k in range(walked) for j, r in zip(top, rr) if r > k][:walked]
             if len(chosen) < walked:
                 raise self._exhausted(peer, chosen)
-            if walked == m:
-                return chosen
-            left = {p: r - chosen.count(j) for p, j, r in zip(first.tolist(), top, rr)}
+            # via: the lowest d[j] + delay(peer, j) over the scored picks j.
+            if self.policy.score == LEAST_DELAY:
+                # The lowest score of every open entry, pruned ones included,
+                # so no other pick, random ones too, goes below it.
+                via = float(best[0])
+            else:
+                # Every open entry has a unit, so the picks take a prefix of top.
+                k = len(set(chosen))
+                via = min(map(operator.add, self.d[top_ids[:k]].tolist(), best[:k].tolist()))
+            if walked < m:
+                left = {p: r - chosen.count(j) for p, j, r in zip(first.tolist(), top, rr)}
 
         # Random picks draw among the open entries, in admission order, less
         # the open positions ``gone`` (ascending) that this round used up.
@@ -558,6 +593,12 @@ class BuildState:
             if left[p] == 0:
                 bisect.insort(gone, p)
             chosen.append(j)
+        if walked:
+            # A small-world tail: a least-delay scan's lowest score bounds
+            # its delay, a closest one queries it.
+            if walked < m and self.policy.score != LEAST_DELAY:
+                via = min(via, self._via(peer, np.array(chosen[walked:])))
+            self._offer = (peer, tuple(chosen), via)
         return chosen
 
     def _exhausted(self, peer: int, chosen: list[int]) -> CapacityExhausted:
@@ -566,10 +607,20 @@ class BuildState:
             f"(picked {len(chosen)}/{self.M} for peer {peer})"
         )
 
+    def _via(self, peer: int, ids) -> float:
+        """The lowest ``d[j] + delay(peer, j)`` over the connected ids ``ids``."""
+        return min((self.d[ids] + self.space.delays_from(peer, ids)).tolist())
+
     def update_after_admission(self, peer: int, uploaders: list[int]) -> None:
         """Commit an admission: record edges, decrement capacities, set the
         peer's overlay delay d, update F, and refresh selection caches.
-        Checks every uploader first, so a refused update changes nothing."""
+        Checks every uploader first, so a refused update changes nothing.
+
+        ``d[peer]`` is the one :meth:`select_uploaders` kept when its scan
+        picked these uploaders for this peer, else (random picks, or
+        uploaders from elsewhere) one ``delays_from`` call over them gives
+        it. Both are the same sums of the same ``np.hypot`` delays, and ``d``
+        of a connected node never changes."""
         if len(uploaders) != self.M:
             raise ValueError(f"expected exactly {self.M} uploaders, got {len(uploaders)}")
         if not self.unadmitted_mask[peer]:
@@ -585,8 +636,11 @@ class BuildState:
             if left[-1] < 0:
                 raise CapacityExhausted(f"uploader {j} driven past its capacity")
 
-        ups = np.fromiter(mult, np.int64, len(mult))
-        self.d[peer] = min((self.d[ups] + self.space.delays_from(peer, ups)).tolist())
+        offer = self._offer
+        if offer is not None and offer[0] == peer and offer[1] == tuple(uploaders):
+            self.d[peer] = offer[2]
+        else:
+            self.d[peer] = self._via(peer, np.fromiter(mult, np.int64, len(mult)))
         for (j, c), r in zip(mult.items(), left):
             self.edges[(j, peer)] = self.edges.get((j, peer), 0) + c
             self.residual[j] = r

@@ -313,6 +313,24 @@ def test_verify_rejects_m_below_1(tmp_path, capsys, m):
     assert (captured.out, captured.err) == ("", f"error: M must be at least 1, got {m}\n")
 
 
+def test_verify_counts_and_bounds_m_exactly(tmp_path, capsys):
+    # A count above 2**53 is printed exactly, not as its float64 rounding.
+    edges, sidecar = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    edges.write_text("uploader,downloader,multiplicity\n0,1,9007199254740993\n")
+    sidecar.write_text("node,u,residual_u\n0,9007199254740993,0\n1,0,0\n")
+    assert main(["verify", str(edges), str(sidecar)]) == 1
+    assert capsys.readouterr().out == (
+        "infeasible: requirement 1 violated: node 1 has 9007199254740993 incoming "
+        "connections, expected exactly 4\n"
+    )
+    # M beyond the int32 flow capacities is bad input.
+    assert main(["verify", str(edges), str(sidecar), "--m", "2147483648"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: M must be at most 2**31 - 1, the largest int32 flow capacity, got 2147483648\n"
+    )
+
+
 def test_verify_reports_io_and_format_errors(tmp_path, capsys):
     rc = main(["verify", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])
     assert rc == 2

@@ -239,6 +239,15 @@ def test_max_flow_hand_instances():
     assert brute_min_cut(diamond, 3) == 4
 
 
+def test_max_flow_takes_multiplicities_beyond_int32():
+    # 2**32 would wrap to a capacity of 0 in the int32 flow graph.
+    assert max_flow(topo(3, {(0, 1): 2**32, (1, 2): 5}), 2) == 5
+    top = 2**31 - 1
+    assert max_flow(topo(3, {(0, 1): 2**32, (1, 2): top}), 2) == top
+    with pytest.raises(ValueError, match="node 2 has 2147483648 incoming connections"):
+        max_flow(topo(3, {(0, 1): 2**32, (1, 2): top + 1}), 2)
+
+
 def built_cases():
     """(space, topology, M) for every policy and distribution, M = 1..6, u0
     at M or 16, capacities that include 0; stuck builds are skipped."""
@@ -454,6 +463,23 @@ def test_verify_requirement_1_in_multiplicity():
     assert "requirement 1" in report.message
 
 
+def test_verify_counts_connections_exactly_above_2_53():
+    big = 2**53 + 1  # float64 rounds it to 2**53
+    report = verify_feasible(topo(2, {(0, 1): big}), CapacityProfile(np.array([big, 0])), 4)
+    assert report.requirement == 1
+    assert report.message == (
+        f"requirement 1 violated: node 1 has {big} incoming connections, expected exactly 4"
+    )
+
+
+def test_verify_takes_m_up_to_the_int32_flow_capacity():
+    top = 2**31 - 1
+    assert verify_feasible(topo(2, {(0, 1): top}), CapacityProfile(np.array([top, 0])), top).ok
+    t = topo(2, {(0, 1): top + 1})
+    with pytest.raises(ValueError, match="M must be at most 2\\*\\*31 - 1"):
+        verify_feasible(t, CapacityProfile(np.array([top + 1, 0])), top + 1)
+
+
 def test_verify_requirement_2_capacity():
     space = DelaySpace(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]))
     t = topo(3, {(0, 1): 4, (1, 2): 4})
@@ -624,6 +650,27 @@ def test_verify_cyclic_input_runs_max_flow_only_on_cycle_nodes(flow_sinks):
         if checked == 3:
             break
     assert checked == 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6])
+def test_compute_metrics_runs_m_dijkstras(monkeypatch, m):
+    # One full-graph Dijkstra serves the minimum delay, the path table and
+    # the tree delay's first tree; m - 1 more follow the tree removals.
+    space = generate(DistributionSpec.preset("flat", 60, 5))
+    caps = CapacityProfile.sample(60, make_rng(5, "capacities"))
+    t = build(space, caps, PolicySpec.from_code("GDS"), m, seed=5)
+    runs = []
+    original = p2pcast.metrics.dijkstra
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(p2pcast.metrics, "dijkstra", counting)
+    report = compute_metrics(t, space, m)
+    assert len(runs) == m
+    assert report.min_delay.tobytes() == shortest_paths(t, space)[0].tobytes()
+    assert report.tree_delay.tobytes() == tree_delay(t, space, m)[0].tobytes()
 
 
 def test_metrics_are_deterministic():

@@ -1,5 +1,8 @@
 """Construction policies: hand-traced admissions, invariants, determinism."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from p2pcast import (
     DelaySpace,
     DistributionSpec,
     PolicySpec,
+    Topology,
     build,
     generate,
     make_rng,
@@ -234,6 +238,65 @@ def test_refused_update_changes_nothing():
     assert build_snapshot(state) == before
     state.update_after_admission(1, [0, 0, 0, 0])  # the state is still usable
     assert state.edges == {(0, 1): 4} and state.residual.tolist() == [12, 4, 4]
+
+
+def test_update_takes_the_overlay_delay_through_the_uploaders_it_is_given():
+    # Via uploader 1 the peer is 0.2 s from the peercaster, via uploader 2 0.4 s.
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, NONE))
+    assert state.select_uploaders(3) == [1, 1, 2, 2]
+    picked = state.d[1] + state.space.delay(1, 3)
+    state.update_after_admission(3, [2, 2, 2, 2])  # not the uploaders just picked
+    assert state.d[3] == state.d[2] + state.space.delay(2, 3) > picked
+    state = uploader_state(PolicySpec(FIXED, CLOSEST, NONE))
+    state.update_after_admission(3, state.select_uploaders(3))
+    assert state.d[3] == picked
+
+
+def delay_query_sites(monkeypatch):
+    """Counts of ``DelaySpace.delays_from`` calls by the builder method that
+    makes them; a scan's (``_scan``) and a random pick's (``_via``) are
+    keyed together with the method that called those."""
+    sites = Counter()
+    delays_from = DelaySpace.delays_from
+
+    def counting(self, *args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("_scan", "_via"):
+            caller = (caller, sys._getframe(2).f_code.co_name)
+        sites[caller] += 1
+        return delays_from(self, *args)
+
+    monkeypatch.setattr(DelaySpace, "delays_from", counting)
+    return sites
+
+
+@pytest.mark.parametrize("code", ALL_POLICY_CODES)
+def test_an_admission_queries_delays_only_in_its_scan(monkeypatch, code):
+    # A scored admission takes the peer's overlay delay from the exact scores
+    # of its uploader scan. Only random picks query theirs: the closest
+    # small-world tail in the pick (under least-delay the scan's lowest score
+    # bounds the tail), FR and GR in the update.
+    n = 200
+    space = generate(DistributionSpec.preset("flat", n, 0))
+    caps = CapacityProfile.sample(n, make_rng(0, "capacities"))
+    policy = PolicySpec.from_code(code)
+    sites = delay_query_sites(monkeypatch)
+    state = BuildState(space, caps, policy, 4, seed=0)
+    while not state.done():
+        state.admit_next()
+    scored = policy.score != RANDOM
+    tail = policy.score == CLOSEST and policy.diversity == SMALL_WORLD
+    admissions = {
+        ("_scan", "select_uploaders"): (n - 1) * scored,
+        ("_via", "select_uploaders"): (n - 1) * tail,
+        ("_via", "update_after_admission"): (n - 1) * (not scored),
+    }
+    assert {site: sites[site] for site in admissions} == admissions
+    # The rest is the fixed policies' cache upkeep: the first scores, the
+    # rescores and the closest refresh.
+    upkeep = {"__init__", ("_scan", "_rescore"), "_refresh_fixed_cache"}
+    assert set(sites) - upkeep <= set(admissions)
+    assert bool(set(sites) & upkeep) == (policy.ordering == FIXED and scored)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -609,6 +672,28 @@ def test_edge_arrays_are_sorted_once_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     assert sorted(topo.edges.items()) == [((j, i), c) for j, i, c in zip(*(a.tolist() for a in arrays))]
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_topology_rejects_non_positive_multiplicity(bad):
+    with pytest.raises(ValueError, match=f"multiplicities must be positive, got {bad}"):
+        Topology(3, {(0, 1): 4, (1, 2): bad}, np.zeros(3, dtype=np.int64))
+
+
+def test_multiplicity_sums_are_exact():
+    big = 2**53 + 1  # float64 rounds it to 2**53
+    zeros = np.zeros(3, dtype=np.int64)
+    t = Topology(3, {(0, 1): big, (0, 2): 1, (1, 2): 2}, zeros)
+    assert t.in_multiplicity().tolist() == [0, big, 3]
+    assert t.out_multiplicity().tolist() == [big + 1, 2, 0]
+    # 2 * (2**63 - 1) + 6 wraps to 4 in int64: a node would seem to have M = 4.
+    top = 2**63 - 1
+    wrapped = Topology(4, {(0, 3): top, (1, 3): top, (2, 3): 6}, np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="incoming connections of node 3 sum beyond the int64 range"):
+        wrapped.in_multiplicity()
+    assert wrapped.out_multiplicity().tolist() == [top, top, 6, 0]
+    with pytest.raises(ValueError, match="outgoing connections of node 0 sum beyond the int64 range"):
+        Topology(3, {(0, 1): top, (0, 2): top}, zeros).out_multiplicity()
 
 
 @pytest.mark.parametrize("bad", [0, -1])
