@@ -225,16 +225,18 @@ def run_cell(
     policy: str, distribution: str, n: int, run: int, master_seed: int, sim: SimParams
 ) -> CellResult:
     """Generate, build, verify and measure a single cell. A stuck admission
-    gives a failed row; a built topology that fails verification is a program
-    fault and raises :class:`TopologyBuildError` naming the cell."""
+    gives a failed row; any other build error or a built topology that fails
+    verification is a program fault: :class:`TopologyBuildError` naming the cell."""
     seed, space, caps, spec = cell_inputs(policy, distribution, n, run, master_seed, sim)
+    cell = f"{policy}/{distribution}/n={n}/run={run}"
     try:
         topo = build(space, caps, spec, sim.m, seed)
     except AdmissionStuck:
         return CellResult(policy, distribution, n, run, seed, None, None, None, None, True)
+    except TopologyBuildError as exc:
+        raise TopologyBuildError(f"{cell}: {exc}") from exc
     feasible = verify_feasible(topo, caps, sim.m)
     if not feasible.ok:
-        cell = f"{policy}/{distribution}/n={n}/run={run}"
         raise TopologyBuildError(f"{cell}: built an infeasible topology: {feasible.message}")
     report = compute_metrics(topo, space, sim.m)
     return CellResult(
@@ -353,13 +355,13 @@ def run_experiment(
     derives for its cell raises ValueError naming the file, the cell and
     both seeds. A resume whose settings (:func:`_manifest`) differ from
     ``out_dir/manifest.json`` raises ValueError naming the key and both
-    values; a directory without a manifest gets one. A cell that builds an
-    infeasible topology raises :class:`TopologyBuildError` (see
-    :func:`run_cell`).
-    ``parallel`` > 1 distributes cells over worker processes; results are
-    written in canonical order either way, so parallelism changes wall time
-    only. ``parallel`` below 1 raises ValueError. Returns all cell results
-    plus the aggregate rows, which are also rewritten to ``out_dir/agg.csv``.
+    values; a directory without a manifest gets one. A cell fault raises
+    :class:`TopologyBuildError` (see :func:`run_cell`). ``parallel`` > 1
+    distributes cells over that many worker processes, or one per cell to
+    run if fewer; results are written in canonical order either way, so
+    parallelism changes wall time only. ``parallel`` below 1 raises
+    ValueError. Returns all cell results plus the aggregate rows, which are
+    also rewritten to ``out_dir/agg.csv``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
@@ -393,9 +395,10 @@ def run_experiment(
 
     todo = [(*cell, config.master_seed, config.sim) for cell in iter_cells(config) if cell not in done]
 
-    serial = parallel == 1 or not todo
+    workers = min(parallel, len(todo))
+    serial = workers <= 1
     with open(results_path, mode, encoding="ascii", newline="\n") as f, (
-        contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=parallel)
+        contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=workers)
     ) as pool:
         if mode == "w":
             f.write(RESULTS_HEADER + "\n")

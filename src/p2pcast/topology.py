@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import csv
 import operator
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -354,6 +353,10 @@ class BuildState:
     that bound with a factor M + 1 of headroom, is not finite, where scores
     could overflow to inf and tie.
 
+    Both orderings admit from one ready set (:meth:`select_next_peer`).
+    Admission order is recorded only by :meth:`admit_next`'s return values
+    and the insertion order of ``edges``.
+
     The open list (:attr:`open_ids`) keeps the connected nodes with residual
     capacity left, in admission order: an admitted peer with u_i > 0 joins
     its end, and an uploader whose residual reaches 0 is found by one
@@ -376,7 +379,8 @@ class BuildState:
     random picks (FR, GR, the closest small-world tail) query their delays.
 
     A least-delay cache is not refreshed on admission; :meth:`_rescore_rivals`
-    rescores the candidates whose cached scores tie the lowest within rounding.
+    rescores the candidates whose cached scores tie the lowest within
+    rounding, once per coordinate site.
 
     Scans of at least ``_PRUNE_MIN`` entries (uploader picks, rescores and
     the closest-cache refresh) rule out by proxy scores the entries that
@@ -417,7 +421,7 @@ class BuildState:
         self.policy = policy
         self.M = int(m)
         self.n = n
-        self.u = caps.u.astype(np.int64)
+        self.u = caps.u
         self.residual = self.u.copy()
         self.rng = make_rng(seed, "build")  # policy-independent label: FR and GR share streams
 
@@ -426,10 +430,6 @@ class BuildState:
         self.d[0] = 0.0
         self.edges: dict[tuple[int, int], int] = {}
 
-        # Connected ids in admission order, as a growing prefix of a buffer so
-        # uploader scoring can slice it without copying.
-        self._conn_buf = np.empty(n, dtype=np.int64)
-        self._conn_buf[0] = 0
         self.n_connected = 1
         # The open list: the connected ids with residual > 0 in admission
         # order, a prefix of this buffer. The peercaster starts open: u_0 >= M >= 1.
@@ -438,19 +438,17 @@ class BuildState:
         self.unadmitted_mask = np.ones(n, dtype=bool)
         self.unadmitted_mask[0] = False
 
-        # Random-score policies admit in arrival order through the growing
-        # path; this makes FR and GR produce identical topologies under the
-        # same seed (they are the same procedure).
+        # Random-score policies admit in arrival order, like growing ones, so
+        # FR and GR build identical topologies under the same seed.
         self._arrival_order = policy.ordering == GROWING or policy.score == RANDOM
-        self.pending: deque[int] | None = deque(range(1, n)) if self._arrival_order else None
 
         # Fixed scored policies keep a best-eligible-uploader cache per
         # unadmitted peer, invalidated when the cached uploader exhausts.
         self._best_score: np.ndarray | None = None
         self._best_up: np.ndarray | None = None
         if not self._arrival_order:
-            base = space.delays_from(0)  # d[0] == 0, so closest == least_delay here
-            self._best_score = base.copy()
+            # A fresh array; d[0] == 0, so closest == least_delay here.
+            self._best_score = space.delays_from(0)
             self._best_score[0] = np.inf
             self._best_up = np.zeros(n, dtype=np.int64)
 
@@ -462,20 +460,12 @@ class BuildState:
     # -- helpers ---------------------------------------------------------
 
     @property
-    def connected_ids(self) -> np.ndarray:
-        """Connected nodes in admission order (peercaster first)."""
-        return self._conn_buf[: self.n_connected]
-
-    @property
     def open_ids(self) -> np.ndarray:
         """Connected nodes with residual capacity left, in admission order."""
         return self._open[: self._n_open]
 
     def done(self) -> bool:
         return self.n_connected == self.n
-
-    def _guard(self, i: int) -> bool:
-        return int(self.u[i]) + self.F >= self.M
 
     def _scan(
         self, i: int, ids: np.ndarray, k: int
@@ -504,29 +494,28 @@ class BuildState:
     # -- admission steps -------------------------------------------------
 
     def select_next_peer(self) -> int:
-        """The next peer to admit under the policy. Raises AdmissionStuck if
-        nobody passes the spare-capacity guard."""
+        """The next peer to admit under the policy, from the ready set: the
+        unadmitted peers that pass the spare-capacity guard. Arrival order
+        admits its lowest id, fixed order its lowest (score, id). Raises
+        AdmissionStuck if the ready set is empty."""
+        # With F >= M every unadmitted peer passes the guard (u_i >= 0).
+        ready, narrowed = self.unadmitted_mask, self.F < self.M
+        if narrowed:
+            ready = ready & (self.u + self.F >= self.M)
+        first = int(ready.argmax())  # the lowest ready id, if any
+        if not ready[first]:
+            raise AdmissionStuck(tuple(np.flatnonzero(self.unadmitted_mask)), self.F, self.M)
         if self._arrival_order:
-            assert self.pending is not None
-            for i in self.pending:  # index order; failed peers stay queued
-                if self._guard(i):
-                    return i
-            raise AdmissionStuck(tuple(self.pending), self.F, self.M)
+            return first
 
-        # With F >= M every unadmitted peer passes the guard (u_i >= 0) and
-        # admitted peers score inf, so the cache itself is the score vector.
-        limited = self.F < self.M or self.done()
-        if limited:
-            candidates = self.unadmitted_mask & (self.u + self.F >= self.M)
-            if not candidates.any():
-                raise AdmissionStuck(tuple(np.flatnonzero(self.unadmitted_mask)), self.F, self.M)
-        # Cached scores are exact while the cached uploader has capacity left
-        # and only under-estimate once it exhausts, so validating the winner
-        # (and re-scoring it if stale) converges on the true argmin. A
-        # least-delay cache may also sit a rounding step above the true
+        # Admitted peers score inf, so unnarrowed the cache is the score
+        # vector. Cached scores are exact while the cached uploader has
+        # capacity left and only under-estimate once it exhausts, so validating
+        # the winner (and re-scoring it if stale) converges on the true argmin.
+        # A least-delay cache may also sit a rounding step above the true
         # score; _rescore_rivals settles the candidates where that matters.
         while True:
-            scores = np.where(candidates, self._best_score, np.inf) if limited else self._best_score
+            scores = np.where(ready, self._best_score, np.inf) if narrowed else self._best_score
             peer = int(scores.argmin())  # the first minimum: ties go to the lowest node id
             best = scores[peer]
             if self.residual[self._best_up[peer]] <= 0:
@@ -642,7 +631,7 @@ class BuildState:
         else:
             self.d[peer] = self._via(peer, np.fromiter(mult, np.int64, len(mult)))
         for (j, c), r in zip(mult.items(), left):
-            self.edges[(j, peer)] = self.edges.get((j, peer), 0) + c
+            self.edges[(j, peer)] = c
             self.residual[j] = r
             if r == 0:
                 self._close(j)
@@ -652,16 +641,10 @@ class BuildState:
         self.unadmitted_mask[peer] = False
         if self._best_score is not None:
             self._best_score[peer] = np.inf
-        self._conn_buf[self.n_connected] = peer
         if u_peer > 0:
             self._open[self._n_open] = peer
             self._n_open += 1
         self.n_connected += 1
-        if self.pending is not None:
-            if self.pending and self.pending[0] == peer:
-                self.pending.popleft()
-            else:
-                self.pending.remove(peer)
         if self._best_score is not None and self.policy.score == CLOSEST:
             self._refresh_fixed_cache(peer)  # least-delay: see _rescore_rivals
 
@@ -707,15 +690,24 @@ class BuildState:
         changes a score, the rivals hold V_t, the others score above
         ``best``, and V_peer <= ``best``: ``peer`` is that argmin. Its own
         cache may stay behind: :meth:`select_uploaders` rescans anyway.
+
+        A rescore depends on the rival only through its coordinates, so one
+        rescore per coordinate site sets every rival at that site.
         """
         window = best * (1 + self.n * 2.0**-46) + self.n * 2.0**-1000
-        changed = False
-        for q in (scores <= window).nonzero()[0].tolist():
-            if q != peer:
-                old = self._best_score[q]
-                self._rescore(q)
-                changed |= bool(self._best_score[q] != old)
-        return changed
+        rivals = (scores <= window).nonzero()[0]
+        if len(rivals) == 1:  # peer alone: its own score is ``best``
+            return False
+        rivals = rivals[rivals != peer]
+        coords = self.space.coords[rivals]
+        _, first, inverse = np.unique(coords, axis=0, return_index=True, return_inverse=True)
+        old, heads = self._best_score[rivals], rivals[first]
+        for q in heads.tolist():
+            self._rescore(q)
+        head = heads[inverse.ravel()]  # numpy 2.0.x shapes the inverse (k, 1)
+        self._best_score[rivals] = self._best_score[head]
+        self._best_up[rivals] = self._best_up[head]
+        return bool((self._best_score[rivals] != old).any())
 
     def _refresh_fixed_cache(self, new_node: int) -> None:
         """Let the newly admitted node improve unadmitted peers' cached

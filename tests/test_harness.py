@@ -34,7 +34,7 @@ from p2pcast.harness import (
     write_aggregate_csv,
 )
 from p2pcast.rng import derive_seed
-from p2pcast.topology import ALL_POLICY_CODES, Topology, TopologyBuildError, build
+from p2pcast.topology import ALL_POLICY_CODES, CapacityExhausted, Topology, TopologyBuildError, build
 
 TINY = ExperimentConfig(
     distributions=("flat", "tight"),
@@ -246,6 +246,63 @@ def test_run_cell_raises_on_an_infeasible_build(monkeypatch):
     assert str(exc.value).startswith(
         "GR/flat/n=12/run=0: built an infeasible topology: requirement 1 violated: node "
     )
+
+
+def exhaust(*args, **kwargs):
+    """A stand-in for ``build`` that fails as a build fault would."""
+    raise CapacityExhausted("no residual upload capacity among connected peers (picked 2/4 for peer 7)")
+
+
+def test_a_failing_build_names_its_cell(monkeypatch, tmp_path):
+    # Serially and from a worker process (forked, so it inherits the
+    # stand-in), the error names the cell before the builder's message.
+    monkeypatch.setattr(harness, "build", exhaust)
+    with pytest.raises(TopologyBuildError) as exc:
+        run_cell("FCS", "tight", 12, 1, 42, SimParams())
+    assert str(exc.value) == "FCS/tight/n=12/run=1: " + str(exc.value.__cause__)
+    assert isinstance(exc.value.__cause__, CapacityExhausted)
+    policy, dist, n, run = next(iter(iter_cells(TINY)))
+    for parallel in (1, 2):
+        with pytest.raises(TopologyBuildError) as exc:
+            run_experiment(TINY, tmp_path / str(parallel), parallel=parallel)
+        assert str(exc.value) == (
+            f"{policy}/{dist}/n={n}/run={run}: no residual upload capacity among connected "
+            f"peers (picked 2/4 for peer 7)"
+        )
+
+
+def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch, tmp_path):
+    sizes = []
+
+    class RecordingPool:
+        """A stand-in for ``ProcessPoolExecutor`` that records its size and
+        maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "exp"
+    run_experiment(TINY, out, parallel=500)
+    whole = (out / "results.csv").read_bytes()
+    cells = len(list(iter_cells(TINY)))
+    assert sizes == [cells]
+    # Three cells left take three workers; one cell, or none, runs serially.
+    lines = whole.decode().splitlines(keepends=True)
+    for left in (3, 1, 0):
+        (out / "results.csv").write_text("".join(lines[: len(lines) - left]))
+        run_experiment(TINY, out, parallel=500)
+        assert (out / "results.csv").read_bytes() == whole
+        assert sizes == [cells, 3]
 
 
 # ------------------------------------------------------------- aggregation

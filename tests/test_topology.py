@@ -37,6 +37,14 @@ def line_space(*xs):
     return DelaySpace(np.array([[x, 0.0] for x in xs]))
 
 
+def admission_order(state):
+    """Admit every remaining peer; the connected ids in admission order."""
+    order = [0]
+    while not state.done():
+        order.append(state.admit_next())
+    return order
+
+
 # ---------------------------------------------------------------- policies
 
 
@@ -87,13 +95,14 @@ def test_spare_capacity_trace_until_stuck():
     state = BuildState(space, caps, PolicySpec.from_code("GCN"), 4, seed=0)
     expected_f = [12, 9, 6, 3, 0]
     assert state.F == expected_f[0]
+    order = []
     for step in range(4):
-        state.admit_next()
+        order.append(state.admit_next())
         assert state.F == expected_f[step + 1]
     with pytest.raises(AdmissionStuck) as exc:
         state.admit_next()
     assert exc.value.stuck == (5,)
-    assert list(state.connected_ids) == [0, 1, 2, 3, 4]
+    assert order == [1, 2, 3, 4] and state.n_connected == 5
 
 
 def test_guard_boundary_is_inclusive():
@@ -109,9 +118,7 @@ def test_growing_defers_guard_failures_and_retries():
     space = line_space(0.0, 0.1, 0.2, 0.3)
     caps = CapacityProfile(np.array([4, 1, 16, 5]))
     state = BuildState(space, caps, PolicySpec.from_code("GCN"), 4, seed=0)
-    while not state.done():
-        state.admit_next()
-    assert list(state.connected_ids) == [0, 2, 1, 3]
+    assert admission_order(state) == [0, 2, 1, 3]
     assert state.F == (4 - 4) + (16 - 4) + (1 - 4) + (5 - 4)
 
 
@@ -121,13 +128,12 @@ def test_spare_capacity_invariant_random_instances():
         space = generate(DistributionSpec.preset("flat", n, seed))
         caps = CapacityProfile.sample(n, make_rng(seed, "capacities"))
         state = BuildState(space, caps, PolicySpec.from_code("GDD"), 4, seed=seed)
+        conn = [0]
         while not state.done():
-            state.admit_next()
-            admitted = [i for i in state.connected_ids if i != 0]
-            expected = int(caps.u[0]) - 4 + sum(int(caps.u[i]) - 4 for i in admitted)
+            conn.append(state.admit_next())
+            expected = int(caps.u[0]) - 4 + sum(int(caps.u[i]) - 4 for i in conn[1:])
             assert state.F == expected
             # Total residual capacity of the connected part is F + M.
-            conn = state.connected_ids
             assert int(state.residual[conn].sum()) == state.F + 4
 
 
@@ -217,7 +223,7 @@ def build_snapshot(state):
     """Everything an admission may change."""
     return (
         list(state.edges.items()), state.residual.tobytes(), state.d.tobytes(), state.F,
-        state.open_ids.tolist(), state.connected_ids.tolist(), state.unadmitted_mask.tobytes(),
+        state.open_ids.tolist(), state.n_connected, state.unadmitted_mask.tobytes(),
     )
 
 
@@ -309,10 +315,11 @@ def test_open_list_is_the_open_connected_ids_in_admission_order(kind):
     assert (caps.u == 0).sum() > 100
     for code in ALL_POLICY_CODES:
         state = BuildState(space, caps, PolicySpec.from_code(code), 4, seed=5)
+        conn = [0]
         while not state.done():
-            state.admit_next()
-            conn = state.connected_ids
-            assert np.array_equal(state.open_ids, conn[state.residual[conn] > 0]), code
+            conn.append(state.admit_next())
+            ids = np.array(conn)
+            assert np.array_equal(state.open_ids, ids[state.residual[ids] > 0]), code
 
 
 # ------------------------------------------------------------ peer choice
@@ -341,9 +348,7 @@ def test_growing_ignores_distance_for_admission_order():
     space = line_space(0.0, 0.3, 0.1, 0.2)
     caps = CapacityProfile(np.array([16, 16, 16, 16]))
     state = BuildState(space, caps, PolicySpec.from_code("GCN"), 4, seed=1)
-    while not state.done():
-        state.admit_next()
-    assert list(state.connected_ids) == [0, 1, 2, 3]
+    assert admission_order(state) == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------- equivalences
@@ -546,6 +551,22 @@ def test_diverse_spreads_picks_over_coincident_uploaders(code):
     assert spread == [min(k, 4) for k in range(1, 12)]
 
 
+@pytest.mark.parametrize("code", ["FDD", "FDN", "FDS"])
+def test_rival_rescores_are_one_per_coordinate_site(monkeypatch, code):
+    # On coincident nodes every unadmitted peer ties the lowest score, so
+    # each admission has all of them as rivals; they share one site and so
+    # one rescore, which keeps the build's rescores linear in n.
+    n = 1000
+    calls = []
+    rescore = BuildState._rescore
+    monkeypatch.setattr(BuildState, "_rescore", lambda self, i: calls.append(i) or rescore(self, i))
+    space = DelaySpace(np.tile([0.1, -0.2], (n, 1)))
+    caps = CapacityProfile.sample(n, make_rng(0, "capacities"))
+    state = BuildState(space, caps, PolicySpec.from_code(code), 4)
+    assert len(admission_order(state)) == n
+    assert len(calls) <= 2 * n
+
+
 def test_diverse_penalty_rounding_matches_reference():
     # Peer 2 sits a rounding step off the midpoint of nodes 0 and 1. With
     # M=6 it picks each of them twice, then its fifth pick compares b + 2L
@@ -623,19 +644,29 @@ def test_select_next_peer_takes_both_branches(monkeypatch):
         assert got == build_outcome(ReferenceBuildState, space, caps, code, m, 4), code
         assert (True, True) in steps, f"{code}: the guard never limited the candidates"
         assert any(not limited for limited, _ in steps), f"{code}: F never reached M"
-    # Once every peer is in, nobody is left to pick, even with F >= M.
-    state = BuildState(
-        line_space(0.0, 0.1, 0.2), CapacityProfile(np.array([16, 16, 16])), PolicySpec.from_code("FDN")
-    )
-    while not state.done():
-        state.admit_next()
-    assert state.F >= state.M
-    with pytest.raises(AdmissionStuck, match=r"unadmitted peers: \[\]"):
-        state.select_next_peer()
 
 
 def test_pruned_select_next_peer_takes_both_branches(prune_every_scan, monkeypatch):
     test_select_next_peer_takes_both_branches(monkeypatch)
+
+
+@pytest.mark.parametrize("code", ALL_POLICY_CODES)
+def test_every_policy_raises_stuck_from_one_ready_set(code):
+    # F walks 12 -> 9 -> 6 -> 3 -> 0, and then no peer with u_i = 1 passes
+    # the guard: the error lists every unadmitted peer, in ascending order.
+    space = generate(DistributionSpec.preset("flat", 12, 0))
+    policy = PolicySpec.from_code(code)
+    state = BuildState(space, CapacityProfile([16] + [1] * 11), policy, 4)
+    with pytest.raises(AdmissionStuck) as exc:
+        admission_order(state)
+    assert exc.value.stuck == tuple(np.flatnonzero(state.unadmitted_mask))
+    assert len(exc.value.stuck) == 7 and exc.value.F == state.F == 0
+    # Once every peer is in, nobody is ready, even with F >= M.
+    state = BuildState(space, CapacityProfile(np.full(12, 16)), policy, 4)
+    admission_order(state)
+    with pytest.raises(AdmissionStuck, match=r"unadmitted peers: \[\]") as exc:
+        state.select_next_peer()
+    assert exc.value.stuck == () and exc.value.F == state.F >= state.M
 
 
 # ------------------------------------------------------------- plumbing
