@@ -12,7 +12,8 @@ Three families of spaces are supported:
   position by a uniform step in (-d, d)^2 (perturbations accumulate) and
   record it; after each recorded node, with probability p jump to a fresh
   cluster seed. Tight clusters use d = 0.005, loose use d = 0.05, both with
-  p = 0.01.
+  p = 0.01. The walk is drawn as one block of uniform doubles, read in the
+  order a node-by-node walk would draw them, so it is the same stream.
 
 Clustered generation produces consecutive runs of nearby nodes, so the node
 order is randomly permuted afterwards; the peercaster is whichever node lands
@@ -171,19 +172,47 @@ class DelaySpace:
 
 
 def _generate_clustered(spec: DistributionSpec, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Run the clustered random walk; returns (coords in generation order, cluster count)."""
-    coords = np.empty((spec.n, 2), dtype=np.float64)
-    n_clusters = 0
-    pos: np.ndarray | None = None
-    for i in range(spec.n):
-        if pos is None:
-            pos = rng.uniform(-spec.D, spec.D, size=2)  # fresh cluster seed
-            n_clusters += 1
-        pos = pos + rng.uniform(-spec.d, spec.d, size=2)  # walk accumulates
-        coords[i] = pos
-        if rng.random() < spec.p:
-            pos = None
-    return coords, n_clusters
+    """Run the clustered random walk; returns (coords in generation order, cluster count).
+
+    The walk reads one stream of ``rng.random`` doubles: a cluster seed takes
+    2, then each node takes 2 for its step and 1 for its new-cluster coin.
+    All of it comes from one block of draws, read in that order, and each
+    value is ``low + (high - low) * u``, as ``Generator.uniform`` forms it.
+    A cluster's positions are one ``np.cumsum`` of its steps, the first plus
+    the seed: the same additions in the same order as a node-by-node walk, so
+    the coordinates and the cluster count are those of drawing each value in
+    turn.
+    """
+    n, p = spec.n, spec.p
+    u = rng.random(5 * n)  # enough for every node to seed its own cluster
+    # hit[j]: the first stream position >= j, in steps of 3, whose draw is
+    # below p. A cluster's coins sit 3 apart, so its first coin at or after
+    # its first node's ends it.
+    hit = np.where(u < p, np.arange(5 * n), 5 * n)
+    for r in range(3):
+        hit[r::3] = np.minimum.accumulate(hit[r::3][::-1])[::-1]
+    sizes = []
+    at = 0  # stream position of the next cluster's seed
+    left = n
+    while left:
+        coin = at + 4  # after the seed and the first node's step
+        size = min((int(hit[coin]) - coin) // 3 + 1, left)
+        sizes.append(size)
+        left -= size
+        at += 2 + 3 * size
+    sizes = np.array(sizes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    step_at = 3 * np.arange(n) + 2 * (cluster + 1)
+    coords = -spec.d + (spec.d - -spec.d) * np.stack((u[step_at], u[step_at + 1]), axis=1)
+    seed_at = step_at[starts] - 2
+    # step + seed has the bits of seed + step: IEEE addition commutes.
+    coords[starts] += -spec.D + (spec.D - -spec.D) * np.stack((u[seed_at], u[seed_at + 1]), axis=1)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if b - a > 1:
+            np.cumsum(coords[a:b], axis=0, out=coords[a:b])
+    return coords, len(sizes)
 
 
 def generate(spec: DistributionSpec) -> DelaySpace:

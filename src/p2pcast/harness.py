@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .delay_space import KINDS, DelaySpace, DistributionSpec, generate
 from .metrics import compute_metrics, verify_feasible
@@ -432,7 +432,10 @@ class AggregateRow:
 def mean_ci95(values) -> tuple[float, float | None]:
     """Sample mean and Student-t 95% confidence half-width.
 
-    A single sample has no spread estimate: the half-width is None.
+    The quantile is ``scipy.special.stdtrit(k - 1, 0.975)``, the function
+    ``scipy.stats.t.ppf`` itself calls, so the half-width has the same bits
+    without importing ``scipy.stats``. A single sample has no spread
+    estimate: the half-width is None.
     """
     arr = np.asarray(values, dtype=np.float64)
     k = len(arr)
@@ -442,7 +445,7 @@ def mean_ci95(values) -> tuple[float, float | None]:
     if k == 1:
         return mean, None
     sd = float(arr.std(ddof=1))
-    t = float(stats.t.ppf(0.975, k - 1))
+    t = float(stdtrit(k - 1, 0.975))
     return mean, float(t * sd / np.sqrt(k))
 
 

@@ -79,10 +79,15 @@ class AdmissionStuck(TopologyBuildError):
     def __init__(self, stuck: tuple[int, ...], f: int, m: int):
         self.stuck = tuple(int(i) for i in stuck)
         self.F = int(f)
+        self.M = int(m)
         super().__init__(
             f"admission stuck with F={f}: no remaining peer has u_i + F >= {m}; "
             f"unadmitted peers: {list(self.stuck)}"
         )
+
+    def __reduce__(self):
+        # Exception pickles its args, the message alone; rebuild from the fields.
+        return type(self), (self.stuck, self.F, self.M)
 
 
 class CapacityExhausted(TopologyBuildError):

@@ -5,7 +5,9 @@ exhaustive simple-path enumeration, flow values from min-cut enumeration over
 all vertex subsets, and vulnerabilities from literally walking every
 realized path up a given predecessor tree. The package's earlier ``heapq``
 Dijkstra and the tree delay built on it are kept here as a reference for the
-library shortest paths that replaced them. :func:`reference_build` is the admission builder
+library shortest paths that replaced them, and :func:`reference_clustered`
+is the clustered delay-space walk as it was before it drew one block of
+doubles. :func:`reference_build` is the admission builder
 as it was before its hot path computed only the delays and scans it uses
 (full-length ``delays_from`` vectors, a least-delay cache refresh after every
 admission, one masked scan per uploader pick, diversity as a score penalty
@@ -207,6 +209,23 @@ def brute_diameter(coords):
         dy = rows[:, None, 1] - coords[None, :, 1]
         best = max(best, float(np.hypot(dx, dy).max()))
     return best
+
+
+def reference_clustered(spec, rng):
+    """The clustered random walk drawn node by node, one ``Generator`` call
+    per value: returns (coords in generation order, cluster count)."""
+    coords = np.empty((spec.n, 2), dtype=np.float64)
+    n_clusters = 0
+    pos = None
+    for i in range(spec.n):
+        if pos is None:
+            pos = rng.uniform(-spec.D, spec.D, size=2)  # fresh cluster seed
+            n_clusters += 1
+        pos = pos + rng.uniform(-spec.d, spec.d, size=2)  # walk accumulates
+        coords[i] = pos
+        if rng.random() < spec.p:
+            pos = None
+    return coords, n_clusters
 
 
 class ReferenceBuildState:

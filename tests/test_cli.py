@@ -443,6 +443,16 @@ def test_unknown_subcommand_exits_via_argparse():
     assert exc.value.code == 2
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time; nothing may pull it in.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, p2pcast, p2pcast.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -11,6 +11,8 @@ from p2pcast import DelaySpace, DistributionSpec, generate
 from p2pcast.delay_space import _generate_clustered
 from p2pcast.rng import make_rng
 
+from bruteforce import reference_clustered
+
 
 def test_delay_is_euclidean_345():
     space = DelaySpace(np.array([[0.0, 0.0], [0.03, 0.04], [0.03, 0.0]]))
@@ -82,6 +84,21 @@ def test_clustered_steps_accumulate():
     first = coords[0]
     drift = np.abs(coords[1:] - first).max()
     assert drift > 2 * spec.d
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.01, 1e-9])
+@pytest.mark.parametrize("kind, d", [("tight", None), ("loose", None), ("tight", 0.2)])
+def test_clustered_walk_matches_the_node_by_node_walk(kind, d, p):
+    # The block-drawn walk against the walk that draws each value in turn:
+    # same coordinate bits and cluster count, from the singleton clusters of
+    # p = 1 to the single cluster of p = 1e-9.
+    for n in (1, 2, 3, 37, 500, 5000):
+        for seed in (0, 1, 7):
+            spec = DistributionSpec(kind, n, seed, d=d, p=p)
+            coords, n_clusters = _generate_clustered(spec, make_rng(seed, "delay_space", kind, "coords"))
+            want, want_clusters = reference_clustered(spec, make_rng(seed, "delay_space", kind, "coords"))
+            assert coords.tobytes() == want.tobytes(), (n, seed)
+            assert n_clusters == want_clusters, (n, seed)
 
 
 def test_clustered_shuffle_preserves_multiset_and_breaks_runs():

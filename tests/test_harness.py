@@ -166,6 +166,20 @@ def test_mean_ci95_reference_values():
     assert hw == pytest.approx(t1 / 2, abs=1e-12)
 
 
+def test_mean_ci95_quantile_is_t_ppf_bit_for_bit():
+    # The half-width the scipy.stats way, for every run count up to 2000.
+    from scipy import stats
+
+    rng = np.random.default_rng(0)
+    for k in range(2, 2001):
+        values = rng.uniform(0.0, 1.0, size=k)
+        sd = float(values.std(ddof=1))
+        want = float(float(stats.t.ppf(0.975, k - 1)) * sd / np.sqrt(k))
+        mean, hw = mean_ci95(values)
+        assert mean == float(values.mean())
+        assert hw.hex() == want.hex(), k
+
+
 def test_mean_ci95_edge_cases():
     mean, hw = mean_ci95([5.0])
     assert mean == 5.0 and hw is None

@@ -1,5 +1,6 @@
 """Construction policies: hand-traced admissions, invariants, determinism."""
 
+import pickle
 import sys
 from collections import Counter
 
@@ -667,6 +668,17 @@ def test_every_policy_raises_stuck_from_one_ready_set(code):
     with pytest.raises(AdmissionStuck, match=r"unadmitted peers: \[\]") as exc:
         state.select_next_peer()
     assert exc.value.stuck == () and exc.value.F == state.F >= state.M
+
+
+def test_admission_stuck_survives_pickling():
+    # A build run in a process pool sends the exception back pickled.
+    exc = AdmissionStuck((np.int64(1), 2), np.int64(0), 4)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is AdmissionStuck
+    assert back.stuck == (1, 2) and back.F == 0 and back.M == 4
+    assert str(back) == str(exc) == (
+        "admission stuck with F=0: no remaining peer has u_i + F >= 4; unadmitted peers: [1, 2]"
+    )
 
 
 # ------------------------------------------------------------- plumbing
