@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .delay_space import KINDS, DelaySpace, DistributionSpec, generate
 from .metrics import compute_metrics, verify_feasible
@@ -434,8 +433,10 @@ def mean_ci95(values) -> tuple[float, float | None]:
 
     The quantile is ``scipy.special.stdtrit(k - 1, 0.975)``, the function
     ``scipy.stats.t.ppf`` itself calls, so the half-width has the same bits
-    without importing ``scipy.stats``. A single sample has no spread
-    estimate: the half-width is None.
+    without importing ``scipy.stats``. ``scipy.special`` is imported here,
+    not with the module: ``scipy.sparse.csgraph`` does not load it, and
+    entry points that never aggregate should not pay for it. A single sample
+    has no spread estimate: the half-width is None.
     """
     arr = np.asarray(values, dtype=np.float64)
     k = len(arr)
@@ -444,6 +445,8 @@ def mean_ci95(values) -> tuple[float, float | None]:
     mean = float(arr.mean())
     if k == 1:
         return mean, None
+    from scipy.special import stdtrit
+
     sd = float(arr.std(ddof=1))
     t = float(stdtrit(k - 1, 0.975))
     return mean, float(t * sd / np.sqrt(k))

@@ -34,9 +34,11 @@ over the connections, keyed by :class:`PathTable`'s index of that tree; no
 path is materialised.
 
 Feasibility checking is independent of the builder's bookkeeping: it recounts
-multiplicities and runs a max-flow (min-cut) test on each peer that lies on a
-directed cycle, which is where a cut can fall short; a built (acyclic)
-topology needs no max-flow at all.
+multiplicities and runs a max-flow (min-cut) test only where a cut can fall
+short, on a feedback set of the peers on directed cycles: the heads of the
+back edges of a depth-first search over them, which every cycle passes
+through. A built (acyclic) topology needs no max-flow at all; a failing one
+scans, in id order, only the peers a failing feedback peer can reach.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (
+    breadth_first_order,
     connected_components,
     depth_first_order,
     dijkstra,
@@ -331,18 +334,63 @@ def max_flow(topology: Topology, sink: int, source: int = 0) -> int:
     return int(maximum_flow(_flow_graph(topology, cap), source, sink).flow_value)
 
 
+def _peer_edges(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """(uploader, downloader) of the connections between two peers, in
+    canonical edge order."""
+    ul, dl, _ = topology.edge_arrays()
+    peers = (ul != 0) & (dl != 0)
+    return ul[peers], dl[peers]
+
+
 def _cycle_nodes(topology: Topology) -> list[int]:
     """Ids, in increasing order, of the peers on a directed cycle that avoids
     node 0: members of a strongly connected component of two or more peers,
     and peers with a self-loop."""
-    ul, dl, _ = topology.edge_arrays()
-    peers = (ul != 0) & (dl != 0)
-    ul, dl = ul[peers] - 1, dl[peers] - 1  # the peer subgraph, still in canonical order
+    ul, dl = _peer_edges(topology)
+    ul, dl = ul - 1, dl - 1  # the peer subgraph, still in canonical order
     graph = _csr(topology.n_nodes - 1, ul, dl, np.ones(len(ul)))
     _, labels = connected_components(graph, directed=True, connection="strong")
     on_cycle = np.bincount(labels)[labels] > 1
     on_cycle[ul[ul == dl]] = True
     return (np.flatnonzero(on_cycle) + 1).tolist()
+
+
+def _feedback_peers(topology: Topology, cycle: list[int]) -> list[int]:
+    """Ids, in increasing order, of the heads of the back edges of a
+    depth-first search over the connections among the ``cycle`` peers,
+    rooted at each unvisited one in increasing order and following each
+    peer's connections in canonical order. Every directed cycle holds a back
+    edge, whose head lies on it, so every cycle avoiding node 0 passes
+    through one of these peers; a self-loop is a back edge onto its peer."""
+    n = topology.n_nodes
+    ul, dl = _peer_edges(topology)
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[cycle] = True
+    keep = on_cycle[ul] & on_cycle[dl]
+    start = np.searchsorted(ul[keep], np.arange(n + 1)).tolist()
+    heads = dl[keep].tolist()
+    state = [0] * n  # 0 unvisited, 1 on the stack, 2 finished
+    feedback = set()
+    for root in cycle:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [[root, start[root]]]  # each peer with its next edge
+        while stack:
+            top = stack[-1]
+            v, k = top
+            if k == start[v + 1]:
+                state[v] = 2
+                stack.pop()
+                continue
+            top[1] = k + 1
+            w = heads[k]
+            if state[w] == 1:
+                feedback.add(w)
+            elif not state[w]:
+                state[w] = 1
+                stack.append([w, start[w]])
+    return sorted(feedback)
 
 
 def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> FeasibilityReport:
@@ -353,10 +401,21 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
     3. ``m`` edge-disjoint paths exist from the peercaster to every peer
        (max-flow with multiplicities as capacities is at least ``m``).
 
-    Given requirement 1, max-flow runs only on peers on a directed cycle
-    avoiding node 0: every node of a sink side S that fewer than ``m`` units
-    enter has an in-edge from inside S, so S holds such a cycle, and every
-    node of S, the cycle's included, has max-flow below ``m``.
+    Given requirement 1, max-flow runs only on a feedback set R of the peers
+    on a directed cycle avoiding node 0: the heads of the back edges of a
+    depth-first search over them (:func:`_feedback_peers`). Every node of a
+    sink side S that fewer than ``m`` units enter has an in-edge from inside
+    S, so S holds such a cycle. That cycle has a back edge, so it passes
+    through some r in R, and S separates r from the peercaster: r has
+    max-flow below ``m``. So all of R passing means every peer passes.
+
+    R is tried in increasing id order. At the first failing r0, the lowest
+    failing peer is found by scanning, in id order, the peers up to r0 that
+    the feedback peers from r0 on reach over peer connections. That misses
+    none: for a failing peer v with such a sink side S, the peers of S that
+    reach v inside S each have an in-edge from a peer of S that does too, so
+    they hold a cycle, and its feedback peer r reaches v. S separates r from
+    the peercaster, so r fails, and no feedback peer below r0 does.
 
     Stops at the first violation and reports which requirement failed; a
     requirement-3 failure names the lowest-id peer short of ``m`` paths.
@@ -401,11 +460,21 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
             flows[i] = int(maximum_flow(graph, 0, i).flow_value)
         return flows[i]
 
-    short = next((i for i in cycle if flow_to(i) < m), None)
-    if short is None:
+    feedback = _feedback_peers(topology, cycle)
+    first = next((k for k, r in enumerate(feedback) if flow_to(r) < m), None)
+    if first is None:
         return FeasibilityReport(True)
-    # The lowest-id peer short of m paths is at or below ``short``.
-    i = next(i for i in range(1, short + 1) if flow_to(i) < m)
+    # Every peer short of m paths is reachable over peer connections from a
+    # failing feedback peer, and those are feedback[first] and later ones: a
+    # super-source (node 0, its own connections dropped) joined to them
+    # reaches every candidate for the lowest failing id.
+    short = feedback[first]
+    ul, dl = _peer_edges(topology)
+    sources = np.array(feedback[first:], dtype=ul.dtype)
+    rows, cols = np.concatenate([np.zeros_like(sources), ul]), np.concatenate([sources, dl])
+    reached = breadth_first_order(_csr(n, rows, cols, np.ones(len(rows))), 0, return_predecessors=False)
+    candidates = np.sort(reached[(reached > 0) & (reached <= short)]).tolist()
+    i = next(i for i in candidates if flow_to(i) < m)
     return FeasibilityReport(
         False, 3,
         f"requirement 3 violated: only {flow_to(i)} edge-disjoint peercaster paths "

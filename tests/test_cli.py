@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main()."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -451,6 +452,24 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_special_to_csgraph():
+    # Only aggregation needs scipy.special; importing the package may load
+    # no more of it than scipy.sparse.csgraph loads on its own.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    listing = "; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    loaded = []
+    for imports in ("scipy.sparse.csgraph", "p2pcast, p2pcast.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {imports}" + listing],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(set(ast.literal_eval(proc.stdout.strip())))
+    csgraph, package = loaded
+    assert package <= csgraph, sorted(package - csgraph)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -595,6 +595,56 @@ def test_verify_matches_min_cut_enumeration_on_random_multigraphs():
     assert min(seen.values()) >= 100, seen
 
 
+def moved_units(t, rng, k):
+    """``t`` with k connection units (j, x) moved to (y, x) for one random
+    peer x, each y drawn from the nodes x reaches, x itself included, so
+    every move closes a cycle and in-multiplicities stay exact."""
+    edges = dict(t.edges)
+    x = int(rng.integers(1, t.n_nodes))
+    for _ in range(k):
+        out: dict[int, list[int]] = {}
+        for (u, v) in edges:
+            out.setdefault(u, []).append(v)
+        below, stack = {x}, [x]
+        while stack:
+            for v in out.get(stack.pop(), ()):
+                if v not in below:
+                    below.add(v)
+                    stack.append(v)
+        units = [j for (j, i), c in sorted(edges.items()) if i == x for _ in range(c)]
+        j = units[int(rng.integers(len(units)))]
+        y = sorted(below)[int(rng.integers(len(below)))]
+        edges[(j, x)] -= 1
+        if not edges[(j, x)]:
+            del edges[(j, x)]
+        edges[(y, x)] = edges.get((y, x), 0) + 1
+    return topo(t.n_nodes, edges)
+
+
+def test_verify_matches_scan_on_rewired_built_topologies():
+    # Built topologies at the sizes, codes and M users run, with 1-5 units
+    # moved: the report must match the exhaustive per-peer scan exactly.
+    seen = {"infeasible": 0, "cyclic_feasible": 0}
+    for n in (60, 200):
+        for code in ("GR", "FCS", "FDN", "GDD"):
+            for m in (2, 4, 6):
+                space = generate(DistributionSpec.preset("flat", n, m))
+                caps = CapacityProfile.sample(n, make_rng(m, "capacities"))
+                t = build(space, caps, PolicySpec.from_code(code), m, seed=m)
+                rng = np.random.default_rng([n, m, ALL_POLICY_CODES.index(code)])
+                # Capacity to spare, so only requirement 3 can fail.
+                loose = CapacityProfile(np.full(n, n * m, dtype=np.int64))
+                for _ in range(3):
+                    rewired = moved_units(t, rng, int(rng.integers(1, 6)))
+                    report = verify_feasible(rewired, loose, m)
+                    assert (report.ok, report.requirement, report.message) == scan_report(rewired, m)
+                    if not report.ok:
+                        seen["infeasible"] += 1
+                    elif cycle_nodes(rewired):
+                        seen["cyclic_feasible"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 @pytest.fixture
 def flow_sinks(monkeypatch):
     """Sinks of every maximum_flow call verify_feasible makes."""
@@ -619,14 +669,16 @@ def test_verify_built_topology_runs_no_max_flow(flow_sinks):
 
 def test_verify_cyclic_input_runs_max_flow_only_on_cycle_nodes(flow_sinks):
     # Peers 2 and 3 feed each other; peer 1 and peer 4 are off the cycle.
+    # The search from 2 meets the back edge 3 -> 2, so only 2 needs a flow.
     hand = topo(5, {(0, 1): 4, (0, 2): 3, (3, 2): 1, (0, 3): 2, (1, 3): 1, (2, 3): 1,
                     (1, 4): 2, (3, 4): 2})
     caps = CapacityProfile(np.full(5, 16))
     assert verify_feasible(hand, caps, 4).ok
-    assert flow_sinks == [2, 3]
+    assert flow_sinks == [2]
 
     # A built topology with one unit of peer x moved onto x's child y: y -> x
-    # closes a cycle, and the rewired input stays feasible.
+    # closes a cycle, and the rewired input stays feasible. The sinks are
+    # cycle peers whose removal breaks every cycle.
     res = random_feasible(6, 60)
     assert res is not None
     _, caps, t = res
@@ -645,7 +697,11 @@ def test_verify_cyclic_input_runs_max_flow_only_on_cycle_nodes(flow_sinks):
         if scan_report(rewired, 4)[0]:
             flow_sinks.clear()
             assert verify_feasible(rewired, caps, 4).ok
-            assert cycle_nodes(rewired) and flow_sinks == cycle_nodes(rewired)
+            on_cycle = cycle_nodes(rewired)
+            assert on_cycle and set(flow_sinks) <= set(on_cycle)
+            rest = {e: c for e, c in edges.items() if not set(e) & set(flow_sinks)}
+            assert cycle_nodes(topo(t.n_nodes, rest)) == []
+            assert len(flow_sinks) <= len(on_cycle)
             checked += 1
         if checked == 3:
             break
