@@ -35,10 +35,13 @@ path is materialised.
 
 Feasibility checking is independent of the builder's bookkeeping: it recounts
 multiplicities and runs a max-flow (min-cut) test only where a cut can fall
-short, on a feedback set of the peers on directed cycles: the heads of the
-back edges of a depth-first search over them, which every cycle passes
-through. A built (acyclic) topology needs no max-flow at all; a failing one
-scans, in id order, only the peers a failing feedback peer can reach.
+short, on a feedback set of the peers on directed cycles, which every cycle
+passes through. That set comes from csgraph alone: the strong components
+pick out the cycle peers, and ``depth_first_order`` over them gives the
+heads of its back edges, the edges (v, w) whose head w is v or an ancestor
+of v by preorder rank and subtree size. A built (acyclic) topology needs no
+max-flow at all; a failing one scans, in id order, only the peers a failing
+feedback peer can reach.
 """
 
 from __future__ import annotations
@@ -148,6 +151,23 @@ def _tree_delay(n: int, ul, dl, w, mult, m: int, dist, pred) -> tuple[np.ndarray
     return dist, float(np.mean(dist[1:]))
 
 
+def _subtrees(n: int, order, parent) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder rank ``pos`` and subtree size ``size`` of every node of a
+    tree given in preorder ``order``, ``parent[k]`` being the parent of
+    ``order[k]`` (the root's is never read). u lies in v's subtree iff
+    ``pos[v] <= pos[u] < pos[v] + size[v]``; a node off the tree has ``pos``
+    the number of tree nodes and ``size`` 0."""
+    pos = np.full(n, len(order))
+    pos[order] = np.arange(len(order))
+    # Reverse preorder visits every child before its parent.
+    size = np.zeros(n, dtype=np.int64)
+    size[order] = 1
+    size = size.tolist()
+    for v, p in zip(order[:0:-1].tolist(), parent[:0:-1].tolist()):
+        size[p] += size[v]
+    return pos, np.array(size, dtype=np.int64)
+
+
 class PathTable:
     """The predecessor tree indexed for the vulnerability metrics.
 
@@ -195,15 +215,7 @@ class PathTable:
         self.top[order] = order[np.maximum.accumulate(np.where(shallow1, rank, 0))]
         self.top2 = np.arange(n)
         self.top2[order] = order[np.maximum.accumulate(np.where(shallow2, rank, 0))]
-        self.pos = np.full(n, len(order))
-        self.pos[order] = rank
-        # Reverse preorder visits every child before its parent.
-        size = np.zeros(n, dtype=np.int64)
-        size[order] = 1
-        size = size.tolist()
-        for v, p in zip(order[:0:-1].tolist(), parent[:0:-1].tolist()):
-            size[p] += size[v]
-        self.size = np.array(size, dtype=np.int64)
+        self.pos, self.size = _subtrees(n, order, parent)
 
     @classmethod
     def build(cls, topology: Topology, space: DelaySpace, m: int) -> "PathTable":
@@ -342,55 +354,33 @@ def _peer_edges(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     return ul[peers], dl[peers]
 
 
-def _cycle_nodes(topology: Topology) -> list[int]:
-    """Ids, in increasing order, of the peers on a directed cycle that avoids
-    node 0: members of a strongly connected component of two or more peers,
-    and peers with a self-loop."""
-    ul, dl = _peer_edges(topology)
-    ul, dl = ul - 1, dl - 1  # the peer subgraph, still in canonical order
-    graph = _csr(topology.n_nodes - 1, ul, dl, np.ones(len(ul)))
-    _, labels = connected_components(graph, directed=True, connection="strong")
+def _rooted(n: int, roots, ul, dl) -> csr_matrix:
+    """The peer connections (``ul``, ``dl``), in canonical edge order, with
+    node 0 as a super-source joined to ``roots``, in increasing order."""
+    rows, cols = np.concatenate([np.zeros_like(roots), ul]), np.concatenate([roots, dl])
+    return _csr(n, rows, cols, np.ones(len(rows)))
+
+
+def _feedback_peers(n: int, ul, dl) -> list[int]:
+    """Ids, in increasing order, of a feedback set of the peer connections
+    (``ul``, ``dl``), in canonical edge order. The peers on a cycle are those
+    in a strong component of two or more peers or with a self-loop. A
+    ``depth_first_order`` over the connections among them, from node 0
+    joined to each in increasing order, follows every peer's connections in
+    canonical order. Every directed cycle holds a back edge (v, w) of it, w
+    being v or an ancestor of v and lying on the cycle: the set is those w."""
+    _, labels = connected_components(_csr(n, ul, dl, np.ones(len(ul))), directed=True, connection="strong")
     on_cycle = np.bincount(labels)[labels] > 1
     on_cycle[ul[ul == dl]] = True
-    return (np.flatnonzero(on_cycle) + 1).tolist()
-
-
-def _feedback_peers(topology: Topology, cycle: list[int]) -> list[int]:
-    """Ids, in increasing order, of the heads of the back edges of a
-    depth-first search over the connections among the ``cycle`` peers,
-    rooted at each unvisited one in increasing order and following each
-    peer's connections in canonical order. Every directed cycle holds a back
-    edge, whose head lies on it, so every cycle avoiding node 0 passes
-    through one of these peers; a self-loop is a back edge onto its peer."""
-    n = topology.n_nodes
-    ul, dl = _peer_edges(topology)
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[cycle] = True
+    cycle = np.flatnonzero(on_cycle)
+    if not len(cycle):
+        return []
     keep = on_cycle[ul] & on_cycle[dl]
-    start = np.searchsorted(ul[keep], np.arange(n + 1)).tolist()
-    heads = dl[keep].tolist()
-    state = [0] * n  # 0 unvisited, 1 on the stack, 2 finished
-    feedback = set()
-    for root in cycle:
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [[root, start[root]]]  # each peer with its next edge
-        while stack:
-            top = stack[-1]
-            v, k = top
-            if k == start[v + 1]:
-                state[v] = 2
-                stack.pop()
-                continue
-            top[1] = k + 1
-            w = heads[k]
-            if state[w] == 1:
-                feedback.add(w)
-            elif not state[w]:
-                state[w] = 1
-                stack.append([w, start[w]])
-    return sorted(feedback)
+    ul, dl = ul[keep], dl[keep]
+    order, pred = depth_first_order(_rooted(n, cycle, ul, dl), 0, return_predecessors=True)
+    pos, size = _subtrees(n, order, pred[order])
+    back = (pos[dl] <= pos[ul]) & (pos[ul] < pos[dl] + size[dl])
+    return np.unique(dl[back]).tolist()
 
 
 def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> FeasibilityReport:
@@ -402,12 +392,14 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
        (max-flow with multiplicities as capacities is at least ``m``).
 
     Given requirement 1, max-flow runs only on a feedback set R of the peers
-    on a directed cycle avoiding node 0: the heads of the back edges of a
-    depth-first search over them (:func:`_feedback_peers`). Every node of a
-    sink side S that fewer than ``m`` units enter has an in-edge from inside
-    S, so S holds such a cycle. That cycle has a back edge, so it passes
-    through some r in R, and S separates r from the peercaster: r has
-    max-flow below ``m``. So all of R passing means every peer passes.
+    on a directed cycle avoiding node 0 (:func:`_feedback_peers`): the heads
+    w of the back edges (v, w) of a ``depth_first_order`` over them, found
+    as the edges whose head w is v or, by preorder rank and subtree size,
+    an ancestor of v. Every node of a sink side S that fewer than ``m``
+    units enter has an in-edge from inside S, so S holds such a cycle. That
+    cycle has a back edge, so it passes through some r in R, and S separates
+    r from the peercaster: r has max-flow below ``m``. So all of R passing
+    means every peer passes.
 
     R is tried in increasing id order. At the first failing r0, the lowest
     failing peer is found by scanning, in id order, the peers up to r0 that
@@ -447,8 +439,9 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
             f"requirement 2 violated: node {i} uploads {int(out_mult[i])} connections "
             f"but has capacity {int(caps.u[i])}",
         )
-    cycle = _cycle_nodes(topology)
-    if not cycle:
+    ul, dl = _peer_edges(topology)
+    feedback = _feedback_peers(n, ul, dl)
+    if not feedback:
         return FeasibilityReport(True)
     # Clipping capacities at m leaves every cut's min(value, m) intact, so the
     # >= m test is unchanged and failing flow values are exact.
@@ -460,7 +453,6 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
             flows[i] = int(maximum_flow(graph, 0, i).flow_value)
         return flows[i]
 
-    feedback = _feedback_peers(topology, cycle)
     first = next((k for k, r in enumerate(feedback) if flow_to(r) < m), None)
     if first is None:
         return FeasibilityReport(True)
@@ -469,10 +461,8 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
     # super-source (node 0, its own connections dropped) joined to them
     # reaches every candidate for the lowest failing id.
     short = feedback[first]
-    ul, dl = _peer_edges(topology)
     sources = np.array(feedback[first:], dtype=ul.dtype)
-    rows, cols = np.concatenate([np.zeros_like(sources), ul]), np.concatenate([sources, dl])
-    reached = breadth_first_order(_csr(n, rows, cols, np.ones(len(rows))), 0, return_predecessors=False)
+    reached = breadth_first_order(_rooted(n, sources, ul, dl), 0, return_predecessors=False)
     candidates = np.sort(reached[(reached > 0) & (reached <= short)]).tolist()
     i = next(i for i in candidates if flow_to(i) < m)
     return FeasibilityReport(

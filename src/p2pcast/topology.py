@@ -193,8 +193,10 @@ class CapacityProfile:
 class Topology:
     """A built overlay: multigraph edges plus leftover upload capacity.
 
-    ``edges`` maps (uploader, downloader) to the connection multiplicity,
-    a positive integer. Treat instances as immutable once built.
+    ``edges`` maps (uploader, downloader), both node ids in ``0..n_nodes-1``,
+    to the connection multiplicity, a positive integer; ``residual_u`` holds
+    one entry per node. Raises ValueError otherwise. Treat instances as
+    immutable once built.
     """
 
     def __init__(self, n_nodes: int, edges: dict[tuple[int, int], int], residual_u: np.ndarray):
@@ -208,6 +210,12 @@ class Topology:
             raise ValueError(f"edge multiplicities must be positive, got {int(mult.min())}")
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         arrays = np.stack([pairs[order, 0], pairs[order, 1], mult[order]])
+        outside = np.flatnonzero(((arrays[:2] < 0) | (arrays[:2] >= self.n_nodes)).any(axis=0))
+        if len(outside):
+            edge = tuple(int(e) for e in arrays[:2, outside[0]])
+            raise ValueError(f"edge {edge} has an end outside the nodes 0..{self.n_nodes - 1}")
+        if self.residual_u.shape != (self.n_nodes,):
+            raise ValueError(f"residual_u has shape {self.residual_u.shape}, expected ({self.n_nodes},)")
         arrays.flags.writeable = False
         self._edge_arrays = tuple(arrays)
 
@@ -287,7 +295,9 @@ def _int_rows(path, header: list[str]) -> list[tuple[int, list[int]]]:
 
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
-    """Read a topology written by :meth:`Topology.to_csv` (both files)."""
+    """Read a topology written by :meth:`Topology.to_csv` (both files).
+    Raises ValueError naming the file and line of a malformed row, and of a
+    node whose ``residual_u`` is not its u less its outgoing connections."""
     caps_rows = _int_rows(caps_path, ["node", "u", "residual_u"])
     for line, (node, u_node, _) in caps_rows:
         if u_node < 0:
@@ -314,7 +324,20 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
         edges[key] = edges.get(key, 0) + mult
         if edges[key] > _INT64_MAX:
             raise ValueError(f"edge {key} sums beyond the int64 range in {edges_path}, line {line}")
-    return Topology(len(rows), edges, residual), CapacityProfile(u)
+    topology = Topology(len(rows), edges, residual)
+    try:
+        out_mult = topology.out_multiplicity()
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {edges_path}") from None
+    wrong = np.flatnonzero(residual != u - out_mult)
+    if len(wrong):
+        node = int(wrong[0])
+        line = next(line for line, values in caps_rows if values[0] == node)
+        raise ValueError(
+            f"residual_u {int(residual[node])} for node {node} is not its u {int(u[node])} "
+            f"less its {int(out_mult[node])} outgoing connections in {caps_path}, line {line}"
+        )
+    return topology, CapacityProfile(u)
 
 
 #: Scans over fewer entries score every entry exactly; longer ones first rule

@@ -372,6 +372,16 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
             "node,u,residual_u\n0,16,12\n1,-4,4\n",
             f"negative upload capacity -4 for node 1 in {sidecar}, line 3",
         ),
+        (
+            "0,1,4\n",
+            "node,u,residual_u\n1,0,-7\n0,4,0\n",
+            f"residual_u -7 for node 1 is not its u 0 less its 0 outgoing connections in {sidecar}, line 2",
+        ),
+        (
+            "0,1,9223372036854775807\n0,0,9223372036854775807\n",
+            caps_text,
+            f"the outgoing connections of node 0 sum beyond the int64 range in {edges}",
+        ),
     ):
         edges.write_text(edge_header + edge_rows)
         sidecar.write_text(caps)

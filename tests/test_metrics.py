@@ -576,7 +576,7 @@ def cycle_nodes(t):
     return sorted(on_cycle)
 
 
-def test_verify_matches_min_cut_enumeration_on_random_multigraphs():
+def test_verify_matches_min_cut_enumeration_on_random_multigraphs(flow_sinks):
     rng = np.random.default_rng(2013)
     seen = {"feasible": 0, "infeasible": 0, "cyclic_feasible": 0}
     for _ in range(1500):
@@ -584,12 +584,20 @@ def test_verify_matches_min_cut_enumeration_on_random_multigraphs():
         m = int(rng.integers(1, 6))
         t = random_multigraph(rng, n, m)
         caps = CapacityProfile(np.full(n, n * m, dtype=np.int64))
+        flow_sinks.clear()
         report = verify_feasible(t, caps, m)
+        sinks = set(flow_sinks)
         assert report.ok == all(brute_min_cut(t, v) >= m for v in range(1, n))
         assert (report.ok, report.requirement, report.message) == scan_report(t, m)
         if report.ok:
             seen["feasible"] += 1
-            seen["cyclic_feasible"] += bool(cycle_nodes(t))
+            on_cycle = cycle_nodes(t)
+            seen["cyclic_feasible"] += bool(on_cycle)
+            # The sinks are cycle peers whose connections hold every cycle,
+            # self-loops included; edges into the peercaster close none.
+            assert sinks <= set(on_cycle)
+            rest = {e: c for e, c in t.edges.items() if not set(e) & sinks}
+            assert cycle_nodes(topo(n, rest)) == []
         else:
             seen["infeasible"] += 1
     assert min(seen.values()) >= 100, seen

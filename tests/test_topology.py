@@ -723,6 +723,24 @@ def test_topology_rejects_non_positive_multiplicity(bad):
         Topology(3, {(0, 1): 4, (1, 2): bad}, np.zeros(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "edges, residual, message",
+    [
+        ({(0, 5): 4}, np.zeros(3), "edge (0, 5) has an end outside the nodes 0..2"),
+        # The first offending edge in canonical order is named.
+        ({(2, 7): 1, (0, 1): 3, (1, -1): 2}, np.zeros(3), "edge (1, -1) has an end outside the nodes 0..2"),
+        ({(1, 2): 1, (-3, 1): 1}, np.zeros(3), "edge (-3, 1) has an end outside the nodes 0..2"),
+        ({(0, 1): 4, (0, 2): 4}, np.zeros(5), "residual_u has shape (5,), expected (3,)"),
+        ({(0, 1): 4, (0, 2): 4}, np.zeros((3, 1)), "residual_u has shape (3, 1), expected (3,)"),
+        ({(0, 1): 4, (0, 2): 4}, 0, "residual_u has shape (), expected (3,)"),
+    ],
+)
+def test_topology_rejects_edge_ends_and_residuals_outside_the_nodes(edges, residual, message):
+    with pytest.raises(ValueError) as err:
+        Topology(3, edges, residual)
+    assert str(err.value) == message
+
+
 def test_multiplicity_sums_are_exact():
     big = 2**53 + 1  # float64 rounds it to 2**53
     zeros = np.zeros(3, dtype=np.int64)
