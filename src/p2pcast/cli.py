@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.set_defaults(func=_cmd_aggregate)
 
     p_verify = sub.add_parser("verify", help="check a topology CSV for feasibility")
-    p_verify.add_argument("edges", help="uploader,downloader,multiplicity CSV")
-    p_verify.add_argument("capacities", help="node,u,residual_u sidecar CSV")
+    p_verify.add_argument("edges", help="edge CSV, as Topology.to_csv writes it")
+    p_verify.add_argument("capacities", help="capacity sidecar CSV, as Topology.to_csv writes it")
     p_verify.add_argument(
         "--m", type=int, default=harness.SimParams.m,
         help=f"substream count M (default {harness.SimParams.m})",

@@ -37,8 +37,8 @@ diverse/none/small-world grid.
 from __future__ import annotations
 
 import bisect
-import csv
 import operator
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -60,6 +60,9 @@ _SCORE_CODE = {CLOSEST: "C", LEAST_DELAY: "D"}
 _DIVERSITY_CODE = {DIVERSE: "D", NONE: "N", SMALL_WORLD: "S"}
 _CODE_SCORE = {v: k for k, v in _SCORE_CODE.items()}
 _CODE_DIVERSITY = {v: k for k, v in _DIVERSITY_CODE.items()}
+
+_EDGES_HEADER = "uploader,downloader,multiplicity"
+_CAPS_HEADER = "node,u,residual_u"
 
 #: Every expressible policy, in canonical order.
 ALL_POLICY_CODES = (
@@ -253,90 +256,86 @@ class Topology:
         return self.residual_u + self.out_multiplicity()
 
     def to_csv(self, edges_path, caps_path=None) -> None:
-        """Write ``uploader,downloader,multiplicity`` rows (sorted by pair).
-
-        When ``caps_path`` is given, a capacity sidecar ``node,u,residual_u``
-        is written next to it.
-        """
-        with open(edges_path, "w", encoding="ascii", newline="\n") as f:
-            f.write("uploader,downloader,multiplicity\n")
-            for row in zip(*(a.tolist() for a in self.edge_arrays())):
-                f.write("%d,%d,%d\n" % row)
+        """Write the edges, one row each in canonical order, and, when
+        ``caps_path`` is given, a capacity sidecar with one row per node."""
+        files = [(edges_path, _EDGES_HEADER, self.edge_arrays())]
         if caps_path is not None:
-            u = self.upload_capacity()
-            with open(caps_path, "w", encoding="ascii", newline="\n") as f:
-                f.write("node,u,residual_u\n")
-                for i in range(self.n_nodes):
-                    f.write(f"{i},{int(u[i])},{int(self.residual_u[i])}\n")
+            caps = (np.arange(self.n_nodes), self.upload_capacity(), self.residual_u)
+            files.append((caps_path, _CAPS_HEADER, caps))
+        for path, header, columns in files:
+            rows = map(",".join, zip(*(map(str, c.tolist()) for c in columns)))
+            with open(path, "w", encoding="ascii", newline="\n") as f:
+                f.write("\n".join(chain([header], rows, [""])))
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+def _reject(path, bad: np.ndarray, reason) -> None:
+    """Raise ValueError at the first row where ``bad`` holds, saying ``reason(row)``."""
+    if len(rows := np.flatnonzero(bad)):
+        raise ValueError(f"{reason(rows[0])} in {path}, line {rows[0] + 2}")
 
 
-def _int_rows(path, header: list[str]) -> list[tuple[int, list[int]]]:
-    """(line, values) of each row of an all-integer CSV file with ``header``.
-    Raises ValueError naming the file and line of any malformed row."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        if (got := next(reader, None)) != header:
-            raise ValueError(f"unexpected header in {path}: {got}; expected {header}")
-        rows = []
-        try:
-            for fields in filter(None, reader):
-                if len(fields) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-                values = [int(v) for v in fields]
-                if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
-                    raise ValueError(f"a field of {fields} is outside the int64 range")
-                rows.append((reader.line_num, values))
-        except ValueError as exc:
-            raise ValueError(f"{exc} in {path}, line {reader.line_num}") from None
-    return rows
+def _read_rows(path, header: str) -> np.ndarray:
+    """The int64 table of a file with ``header``; row r is on line r + 2."""
+    with open(path, encoding="ascii", errors="backslashreplace", newline="") as f:
+        head, _, body = f.read().partition("\n")
+    if head != header:
+        raise ValueError(f"unexpected header {head!r} in {path}, line 1; expected {header!r}")
+    k = header.count(",") + 1
+    # The first line that is not a row (one lookahead per line keeps memory
+    # flat); the empty tail after a final newline is not a line.
+    miss = re.search(r"^(?!-?[0-9]+(?:,-?[0-9]+){%d}$)" % (k - 1), body, re.M)
+    if miss and (at := miss.start()) < len(body):
+        line = body[at:].partition("\n")[0]
+        fields = line.split(",") if line else []
+        bad = [v for v in fields if not re.fullmatch("-?[0-9]+", v)]
+        reason = f"invalid literal for int() with base 10: {bad[0]!r}" if len(fields) == k else (
+            f"expected {k} fields, got {len(fields)}")
+        raise ValueError(f"{reason} in {path}, line {len(body[:at].splitlines()) + 2}")
+    tokens = body.replace(",", " ").split()
+    table = np.array(list(map(int, tokens)), dtype=object).reshape(-1, k)
+    _reject(path, ((table < -(2**63)) | (table >= 2**63)).any(axis=1),
+            lambda r: f"a field of {tokens[r * k : r * k + k]} is outside the int64 range")
+    return table.astype(np.int64)
 
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
     """Read a topology written by :meth:`Topology.to_csv` (both files).
-    Raises ValueError naming the file and line of a malformed row, and of a
-    node whose ``residual_u`` is not its u less its outgoing connections."""
-    caps_rows = _int_rows(caps_path, ["node", "u", "residual_u"])
-    for line, (node, u_node, _) in caps_rows:
-        if u_node < 0:
-            raise ValueError(
-                f"negative upload capacity {u_node} for node {node} in {caps_path}, line {line}"
-            )
-    rows = sorted(values for _, values in caps_rows)
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ValueError(f"capacity file {caps_path} must list every node exactly once")
-    u = np.array([r[1] for r in rows], dtype=np.int64)
-    residual = np.array([r[2] for r in rows], dtype=np.int64)
 
-    edges: dict[tuple[int, int], int] = {}
-    for line, (up, down, mult) in _int_rows(edges_path, ["uploader", "downloader", "multiplicity"]):
-        key = (up, down)
-        if not (0 <= up < len(rows) and 0 <= down < len(rows)):
-            raise ValueError(
-                f"edge {key} references a node outside the capacity file in {edges_path}, line {line}"
-            )
-        if mult <= 0:
-            raise ValueError(
-                f"non-positive multiplicity {mult} for edge {key} in {edges_path}, line {line}"
-            )
-        edges[key] = edges.get(key, 0) + mult
-        if edges[key] > _INT64_MAX:
-            raise ValueError(f"edge {key} sums beyond the int64 range in {edges_path}, line {line}")
-    topology = Topology(len(rows), edges, residual)
+    Each file holds its header line, then ``\\n``-ended lines (the last
+    ``\\n`` may be missing) of three comma-separated, optionally signed ASCII
+    decimal integers in the int64 range; blank lines, CR, spaces, quotes,
+    ``+``, ``_`` and non-ASCII bytes are rejected. The capacity file lists
+    nodes 0..n-1 once each, in any order, with u >= 0 and ``residual_u`` u
+    less the node's outgoing connections; the edge file lists each pair of
+    them at most once, with a positive multiplicity. Raises ValueError
+    naming the file and line of the first row that breaks a rule.
+    """
+    caps = _read_rows(caps_path, _CAPS_HEADER)
+    node, u_rows, residual_rows = caps.T
+    n = len(caps)
+    if not n:
+        raise ValueError(f"capacity file {caps_path} lists no nodes")
+    _reject(caps_path, u_rows < 0, lambda r: f"negative upload capacity {u_rows[r]} for node {node[r]}")
+    _reject(caps_path, (node < 0) | (node >= n), lambda r: f"node {node[r]} is outside 0..{n - 1}")
+    _reject(caps_path, np.bincount(node)[node] > 1, lambda r: f"node {node[r]} is listed more than once")
+    u, residual = caps[np.argsort(node), 1:].T
+    edges = _read_rows(edges_path, _EDGES_HEADER)
+    up, down, mult = edges.T
+    pair = lambda r: tuple(edges[r, :2].tolist())
+    _reject(edges_path, ((edges[:, :2] < 0) | (edges[:, :2] >= n)).any(axis=1),
+            lambda r: f"edge {pair(r)} references a node outside the capacity file")
+    _reject(edges_path, mult <= 0, lambda r: f"non-positive multiplicity {mult[r]} for edge {pair(r)}")
+    _, first, inverse = np.unique(up * n + down, return_index=True, return_inverse=True)
+    first = first[inverse]  # the first row of each row's edge
+    _reject(edges_path, first != np.arange(len(edges)),
+            lambda r: f"edge {pair(r)} is already listed on line {first[r] + 2}")
+    topology = Topology(n, dict(zip(zip(up.tolist(), down.tolist()), mult.tolist())), residual)
     try:
-        out_mult = topology.out_multiplicity()
+        out_mult = topology.out_multiplicity()[node]
     except ValueError as exc:
         raise ValueError(f"{exc} in {edges_path}") from None
-    wrong = np.flatnonzero(residual != u - out_mult)
-    if len(wrong):
-        node = int(wrong[0])
-        line = next(line for line, values in caps_rows if values[0] == node)
-        raise ValueError(
-            f"residual_u {int(residual[node])} for node {node} is not its u {int(u[node])} "
-            f"less its {int(out_mult[node])} outgoing connections in {caps_path}, line {line}"
-        )
+    _reject(caps_path, residual_rows != u_rows - out_mult, lambda r: f"residual_u {residual_rows[r]} for "
+            f"node {node[r]} is not its u {u_rows[r]} less its {out_mult[r]} outgoing connections")
     return topology, CapacityProfile(u)
 
 

@@ -16,9 +16,16 @@ must match bit for bit on generated spaces. :class:`TierReferenceBuildState`
 swaps the penalty for the exact (picks, score, id) key the package uses, and
 is the oracle on degenerate coordinates, where rounding or a zero diameter
 parts the two rules. They share only the package's types, exceptions and
-seeded streams.
+seeded streams. :func:`reference_to_csv` and
+:func:`reference_read_topology_csv` are the topology CSV writer and reader
+as they were before each handled a file as one array: one ``write`` per
+row, and ``csv.reader`` and ``int()`` row by row, summing repeated edges.
+The array writer must match the first byte for byte; the array reader must
+accept no file the second rejects, and read every file it accepts to the
+same topology.
 """
 
+import csv
 import heapq
 from collections import Counter, deque
 
@@ -479,3 +486,87 @@ def reference_build(
     while not state.done():
         state.admit_next()
     return state.topology()
+
+
+def reference_to_csv(topology, edges_path, caps_path) -> None:
+    """Write ``uploader,downloader,multiplicity`` rows (sorted by pair) and
+    the capacity sidecar ``node,u,residual_u``, one ``write`` per row."""
+    with open(edges_path, "w", encoding="ascii", newline="\n") as f:
+        f.write("uploader,downloader,multiplicity\n")
+        for row in zip(*(a.tolist() for a in topology.edge_arrays())):
+            f.write("%d,%d,%d\n" % row)
+    u = topology.upload_capacity()
+    with open(caps_path, "w", encoding="ascii", newline="\n") as f:
+        f.write("node,u,residual_u\n")
+        for i in range(topology.n_nodes):
+            f.write(f"{i},{int(u[i])},{int(topology.residual_u[i])}\n")
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int_rows(path, header: list[str]) -> list[tuple[int, list[int]]]:
+    """(line, values) of each row of an all-integer CSV file with ``header``.
+    Raises ValueError naming the file and line of any malformed row."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        if (got := next(reader, None)) != header:
+            raise ValueError(f"unexpected header in {path}: {got}; expected {header}")
+        rows = []
+        try:
+            for fields in filter(None, reader):
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+                values = [int(v) for v in fields]
+                if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+                    raise ValueError(f"a field of {fields} is outside the int64 range")
+                rows.append((reader.line_num, values))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {path}, line {reader.line_num}") from None
+    return rows
+
+
+def reference_read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
+    """Read a topology written by :meth:`Topology.to_csv` (both files).
+    Raises ValueError naming the file and line of a malformed row, and of a
+    node whose ``residual_u`` is not its u less its outgoing connections."""
+    caps_rows = _int_rows(caps_path, ["node", "u", "residual_u"])
+    for line, (node, u_node, _) in caps_rows:
+        if u_node < 0:
+            raise ValueError(
+                f"negative upload capacity {u_node} for node {node} in {caps_path}, line {line}"
+            )
+    rows = sorted(values for _, values in caps_rows)
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError(f"capacity file {caps_path} must list every node exactly once")
+    u = np.array([r[1] for r in rows], dtype=np.int64)
+    residual = np.array([r[2] for r in rows], dtype=np.int64)
+
+    edges: dict[tuple[int, int], int] = {}
+    for line, (up, down, mult) in _int_rows(edges_path, ["uploader", "downloader", "multiplicity"]):
+        key = (up, down)
+        if not (0 <= up < len(rows) and 0 <= down < len(rows)):
+            raise ValueError(
+                f"edge {key} references a node outside the capacity file in {edges_path}, line {line}"
+            )
+        if mult <= 0:
+            raise ValueError(
+                f"non-positive multiplicity {mult} for edge {key} in {edges_path}, line {line}"
+            )
+        edges[key] = edges.get(key, 0) + mult
+        if edges[key] > _INT64_MAX:
+            raise ValueError(f"edge {key} sums beyond the int64 range in {edges_path}, line {line}")
+    topology = Topology(len(rows), edges, residual)
+    try:
+        out_mult = topology.out_multiplicity()
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {edges_path}") from None
+    wrong = np.flatnonzero(residual != u - out_mult)
+    if len(wrong):
+        node = int(wrong[0])
+        line = next(line for line, values in caps_rows if values[0] == node)
+        raise ValueError(
+            f"residual_u {int(residual[node])} for node {node} is not its u {int(u[node])} "
+            f"less its {int(out_mult[node])} outgoing connections in {caps_path}, line {line}"
+        )
+    return topology, CapacityProfile(u)

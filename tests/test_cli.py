@@ -358,7 +358,7 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
         (
             "0,1,9223372036854775807\n0,1,1\n",
             caps_text,
-            f"edge (0, 1) sums beyond the int64 range in {edges}, line 3",
+            f"edge (0, 1) is already listed on line 2 in {edges}, line 3",
         ),
         ("0,1,4\n0,1\n", caps_text, f"expected 3 fields, got 2 in {edges}, line 3"),
         (
@@ -388,6 +388,24 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
         assert main(["verify", str(edges), str(sidecar)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "edge_bytes, caps_bytes, message",
+    [
+        (b"", b"", "capacity file {caps} lists no nodes"),
+        (b"0,1,4\n", b"0,16,12\n1,4\xff,4\n", r"invalid literal for int() with base 10: '4\\xff' in {caps}, line 3"),
+        (b"0,1,4\n\xff,1,4\n", b"0,16,12\n1,4,4\n", r"invalid literal for int() with base 10: '\\xff' in {edges}, line 3"),
+    ],
+    ids=["header-only-capacity-file", "undecodable-capacity-byte", "undecodable-edge-byte"],
+)
+def test_verify_names_the_file_and_line_of_unreadable_input(tmp_path, capsys, edge_bytes, caps_bytes, message):
+    edges, caps = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    edges.write_bytes(b"uploader,downloader,multiplicity\n" + edge_bytes)
+    caps.write_bytes(b"node,u,residual_u\n" + caps_bytes)
+    assert main(["verify", str(edges), str(caps)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(edges=edges, caps=caps)}\n")
 
 
 def test_distributions_writes_scatter_files(tmp_path, capsys):

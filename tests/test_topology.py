@@ -1,6 +1,7 @@
 """Construction policies: hand-traced admissions, invariants, determinism."""
 
 import pickle
+import re
 import sys
 from collections import Counter
 
@@ -30,7 +31,15 @@ from p2pcast import topology
 from p2pcast.delay_space import KINDS
 from p2pcast.topology import CLOSEST, DIVERSE, FIXED, GROWING, LEAST_DELAY, NONE, RANDOM, SMALL_WORLD
 
-from bruteforce import ReferenceBuildState, TierReferenceBuildState, brute_diameter, reference_build
+from bruteforce import (
+    ReferenceBuildState,
+    TierReferenceBuildState,
+    brute_diameter,
+    reference_build,
+    reference_read_topology_csv,
+    reference_to_csv,
+)
+from test_metrics import moved_units
 
 
 def line_space(*xs):
@@ -768,6 +777,129 @@ def test_read_topology_csv_rejects_non_positive_multiplicity(tmp_path, bad):
     assert str(exc.value) == (
         f"non-positive multiplicity {bad} for edge (2, 1) in {edges_path}, line 3"
     )
+
+
+def csv_cases():
+    """Built topologies of several policies, each also with three connection
+    units moved to close cycles (u kept, so residuals follow)."""
+    for code, kind, n in (("GR", "flat", 12), ("FCS", "tight", 30), ("FDN", "loose", 25), ("GDD", "flat", 40)):
+        caps = CapacityProfile.sample(n, make_rng(5, "capacities"))
+        t = build(generate(DistributionSpec.preset(kind, n, 5)), caps, PolicySpec.from_code(code), 4, seed=5)
+        moved = moved_units(t, np.random.default_rng(n), 3)
+        yield t
+        yield Topology(n, moved.edges, caps.u - moved.out_multiplicity())
+
+
+def test_to_csv_writes_the_per_row_writers_bytes(tmp_path):
+    paths = [tmp_path / name for name in ("edges.csv", "caps.csv", "ref_edges.csv", "ref_caps.csv")]
+    for t in csv_cases():
+        t.to_csv(*paths[:2])
+        reference_to_csv(t, *paths[2:])
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert paths[1].read_bytes() == paths[3].read_bytes()
+        paths[0].unlink()
+        t.to_csv(paths[0])  # the edge file alone
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+
+
+#: Changes to one data row of a topology CSV file (or to the whole file),
+#: and whether the reader must accept the result: True for forms to_csv
+#: could write, False for forms outside its grammar, None where the rules
+#: decide.
+MUTATIONS = {
+    "none": True, "no final newline": True, "leading zeros": True,
+    "extra field": False, "missing field": False, "plus sign": False, "spaces": False,
+    "quotes": False, "blank line": False, "crlf": False, "bom": False, "non-utf-8": False,
+    "underscore": False, "non-ascii digits": False, "duplicate row": False, "split row": False,
+    "minus sign": None, "long value": None, "off by one": None,
+}
+
+
+def mutate(data: bytes, kind: str, rng) -> bytes:
+    """``data``, a file ``to_csv`` wrote, with one ``kind`` of change at a random row and field."""
+    lines = data.split(b"\n")  # the last entry is the b"" after the final newline
+    r = int(rng.integers(1, len(lines) - 1))
+    fields = lines[r].split(b",")
+    f = int(rng.integers(len(fields)))
+    sign, digits = re.fullmatch(rb"(-?)([0-9]+)", fields[f]).groups()
+    if kind == "none":
+        return data
+    if kind == "no final newline":
+        return data[:-1]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind in ("blank line", "duplicate row"):
+        lines.insert(r, b"" if kind == "blank line" else lines[r])
+        return b"\n".join(lines)
+    if kind == "split row":  # the reference sums an edge's rows into one
+        head = b",".join(fields[:-1])
+        lines[r : r + 1] = [head + b",1", head + b",%d" % (int(fields[-1]) - 1)]
+        return b"\n".join(lines)
+    if kind == "extra field":
+        fields.append(b"0")
+    elif kind == "missing field":
+        fields.pop()
+    elif kind == "off by one":
+        fields[-1] = b"%d" % (int(fields[-1]) + int(rng.choice([-1, 1])))
+    elif kind == "long value":
+        length = 19 + int(rng.integers(2))  # 19 digits may fit int64, 20 never do
+        fields[f] = sign + bytes([int(rng.integers(49, 58)), *rng.integers(48, 58, length - 1).tolist()])
+    else:
+        fields[f] = {
+            "leading zeros": sign + b"00" + digits,
+            "plus sign": b"+" + fields[f],
+            "minus sign": b"-" + fields[f],
+            "spaces": b" " + fields[f] + b" ",
+            "quotes": b'"' + fields[f] + b'"',
+            "non-utf-8": fields[f] + b"\xff",
+            "underscore": sign + digits[:1] + b"_" + digits[1:] + b"0",
+            "non-ascii digits": digits.decode().translate({48 + d: 0x660 + d for d in range(10)}).encode(),
+        }[kind]
+    lines[r] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+def test_read_topology_csv_is_the_reference_reader_narrowed(tmp_path):
+    # Whatever the array reader accepts, the row-by-row reference reads to the
+    # same topology; whatever the reference rejects, the array reader rejects
+    # with a ValueError naming the mutated file or the one the reference names.
+    rng = np.random.default_rng(2024)
+    paths = {"edges": tmp_path / "edges.csv", "caps": tmp_path / "caps.csv"}
+    seen = Counter()
+    for t in csv_cases():
+        t.to_csv(paths["edges"], paths["caps"])
+        written = {name: path.read_bytes() for name, path in paths.items()}
+        for kind, valid in MUTATIONS.items():
+            for name in (*paths, *paths):  # each file twice, at other rows
+                mutated = dict(written, **{name: mutate(written[name], kind, rng)})
+                for other, path in paths.items():
+                    path.write_bytes(mutated[other])
+                try:
+                    got = read_topology_csv(paths["edges"], paths["caps"])
+                except ValueError as exc:
+                    got = exc
+                try:
+                    ref = reference_read_topology_csv(paths["edges"], paths["caps"])
+                except ValueError as exc:
+                    ref = exc
+                case = (kind, name, mutated[name], got, ref)
+                if valid is not None:
+                    assert isinstance(got, ValueError) != valid, case
+                if not isinstance(got, ValueError):
+                    assert not isinstance(ref, ValueError), case
+                    assert got[0].edges == ref[0].edges, case
+                    assert np.array_equal(got[0].residual_u, ref[0].residual_u), case
+                    assert np.array_equal(got[1].u, ref[1].u), case
+                elif isinstance(ref, ValueError):
+                    named = [p for other, p in paths.items() if other == name or str(p) in str(ref)]
+                    assert any(str(p) in str(got) for p in named), case
+                seen[kind, isinstance(got, ValueError), isinstance(ref, ValueError)] += 1
+    # Each form outside the grammar comes up in some file the reference accepts.
+    for kind in ("spaces", "quotes", "plus sign", "underscore", "blank line", "crlf", "non-ascii digits", "split row"):
+        assert seen[kind, True, False], (kind, seen)
+    assert seen["minus sign", False, False] and seen["long value", True, True], seen
 
 
 def test_build_validation_errors():
