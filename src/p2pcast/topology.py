@@ -37,10 +37,12 @@ diverse/none/small-world grid.
 from __future__ import annotations
 
 import bisect
+import io
 import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -196,36 +198,78 @@ class CapacityProfile:
 class Topology:
     """A built overlay: multigraph edges plus leftover upload capacity.
 
-    ``edges`` maps (uploader, downloader), both node ids in ``0..n_nodes-1``,
-    to the connection multiplicity, a positive integer; ``residual_u`` holds
-    one entry per node. Raises ValueError otherwise. Treat instances as
-    immutable once built.
+    The stored form is the canonical edge arrays (:meth:`edge_arrays`):
+    uploader, downloader and multiplicity, one int64 entry per distinct
+    edge, sorted by (uploader, downloader), with both ends node ids in
+    ``0..n_nodes-1`` and a positive multiplicity. ``residual_u`` holds one
+    entry per node. Both constructors raise ValueError otherwise.
+
+    ``edges`` is a read-only view mapping (uploader, downloader) to
+    multiplicity. Built from a dict, it views a private copy of that dict,
+    in the order given; built by :meth:`from_arrays`, it is made on first
+    use, in canonical order. Instances are immutable.
     """
 
     def __init__(self, n_nodes: int, edges: dict[tuple[int, int], int], residual_u: np.ndarray):
-        self.n_nodes = int(n_nodes)
-        self.edges = edges
-        self.residual_u = np.array(residual_u, dtype=np.int64)
-        self.residual_u.flags.writeable = False
+        edges = dict(edges)
         pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
         mult = np.fromiter(edges.values(), np.int64, len(edges))
-        if len(mult) and mult.min() <= 0:
-            raise ValueError(f"edge multiplicities must be positive, got {int(mult.min())}")
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        arrays = np.stack([pairs[order, 0], pairs[order, 1], mult[order]])
-        outside = np.flatnonzero(((arrays[:2] < 0) | (arrays[:2] >= self.n_nodes)).any(axis=0))
+        self._store(n_nodes, pairs[order, 0], pairs[order, 1], mult[order], residual_u)
+        self._edges = edges
+
+    @classmethod
+    def from_arrays(cls, n_nodes: int, up, down, mult, residual_u) -> "Topology":
+        """The topology whose canonical edge arrays are copies of ``up``,
+        ``down`` and ``mult``: their keys ``up * n_nodes + down`` must be
+        strictly increasing. ``edges`` is built on first use."""
+        topology = cls.__new__(cls)
+        topology._store(n_nodes, up, down, mult, residual_u)
+        topology._edges = None
+        return topology
+
+    def _store(self, n_nodes, up, down, mult, residual_u) -> None:
+        n = self.n_nodes = int(n_nodes)
+        arrays = np.array([up, down, mult], dtype=np.int64)
+        if arrays.ndim != 2:
+            raise ValueError(f"edge arrays must be 1-D, got shape {arrays.shape[1:]}")
+        if arrays.shape[1] and arrays[2].min() <= 0:
+            raise ValueError(f"edge multiplicities must be positive, got {int(arrays[2].min())}")
+        edge = lambda r: tuple(arrays[:2, r].tolist())
+        outside = np.flatnonzero(((arrays[:2] < 0) | (arrays[:2] >= n)).any(axis=0))
         if len(outside):
-            edge = tuple(int(e) for e in arrays[:2, outside[0]])
-            raise ValueError(f"edge {edge} has an end outside the nodes 0..{self.n_nodes - 1}")
-        if self.residual_u.shape != (self.n_nodes,):
-            raise ValueError(f"residual_u has shape {self.residual_u.shape}, expected ({self.n_nodes},)")
+            raise ValueError(f"edge {edge(outside[0])} has an end outside the nodes 0..{n - 1}")
+        keys = arrays[0] * n + arrays[1]
+        unordered = np.flatnonzero(keys[1:] <= keys[:-1])
+        if len(unordered):
+            r = unordered[0]
+            raise ValueError(f"edge {edge(r + 1)} follows edge {edge(r)}; edges must be "
+                             "distinct and sorted by (uploader, downloader)")
+        self.residual_u = np.array(residual_u, dtype=np.int64)
+        if self.residual_u.shape != (n,):
+            raise ValueError(f"residual_u has shape {self.residual_u.shape}, expected ({n},)")
+        self.residual_u.flags.writeable = False
         arrays.flags.writeable = False
         self._edge_arrays = tuple(arrays)
+
+    def __setstate__(self, state) -> None:
+        # Unpickled arrays come back writable.
+        self.__dict__.update(state)
+        for a in (self.residual_u, *self._edge_arrays):
+            a.flags.writeable = False
+
+    @property
+    def edges(self) -> MappingProxyType:
+        """(uploader, downloader) -> multiplicity, a read-only view."""
+        if self._edges is None:
+            up, down, mult = (a.tolist() for a in self._edge_arrays)
+            self._edges = dict(zip(zip(up, down), mult))
+        return MappingProxyType(self._edges)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(uploader, downloader, multiplicity) int64 arrays, one entry per
         distinct edge, sorted by (uploader, downloader): the canonical edge
-        order every consumer reads. Built once, from ``edges`` as given; read-only."""
+        order every consumer reads. The stored form, read-only."""
         return self._edge_arrays
 
     def _node_totals(self, nodes: np.ndarray, what: str) -> np.ndarray:
@@ -291,11 +335,16 @@ def _read_rows(path, header: str) -> np.ndarray:
         reason = f"invalid literal for int() with base 10: {bad[0]!r}" if len(fields) == k else (
             f"expected {k} fields, got {len(fields)}")
         raise ValueError(f"{reason} in {path}, line {len(body[:at].splitlines()) + 2}")
-    tokens = body.replace(",", " ").split()
-    table = np.array(list(map(int, tokens)), dtype=object).reshape(-1, k)
-    _reject(path, ((table < -(2**63)) | (table >= 2**63)).any(axis=1),
-            lambda r: f"a field of {tokens[r * k : r * k + k]} is outside the int64 range")
-    return table.astype(np.int64)
+    if not body:  # loadtxt would warn of no data
+        return np.empty((0, k), dtype=np.int64)
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+    except ValueError:  # a field outside the int64 range: name its line
+        tokens = body.replace(",", " ").split()
+        table = np.array(list(map(int, tokens)), dtype=object).reshape(-1, k)
+        _reject(path, ((table < -(2**63)) | (table >= 2**63)).any(axis=1),
+                lambda r: f"a field of {tokens[r * k : r * k + k]} is outside the int64 range")
+        raise
 
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
@@ -309,6 +358,11 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
     less the node's outgoing connections; the edge file lists each pair of
     them at most once, with a positive multiplicity. Raises ValueError
     naming the file and line of the first row that breaks a rule.
+
+    Each body is parsed by one ``np.loadtxt`` once one regular expression
+    has checked all of it. The edge rows, in any order in the file, become
+    the canonical arrays of :meth:`Topology.from_arrays`, with no dict in
+    between, so the returned ``edges`` run in canonical order.
     """
     caps = _read_rows(caps_path, _CAPS_HEADER)
     node, u_rows, residual_rows = caps.T
@@ -326,10 +380,11 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
             lambda r: f"edge {pair(r)} references a node outside the capacity file")
     _reject(edges_path, mult <= 0, lambda r: f"non-positive multiplicity {mult[r]} for edge {pair(r)}")
     _, first, inverse = np.unique(up * n + down, return_index=True, return_inverse=True)
-    first = first[inverse]  # the first row of each row's edge
-    _reject(edges_path, first != np.arange(len(edges)),
-            lambda r: f"edge {pair(r)} is already listed on line {first[r] + 2}")
-    topology = Topology(n, dict(zip(zip(up.tolist(), down.tolist()), mult.tolist())), residual)
+    listed = first[inverse]  # the first row of each row's edge
+    _reject(edges_path, listed != np.arange(len(edges)),
+            lambda r: f"edge {pair(r)} is already listed on line {listed[r] + 2}")
+    # With no edge repeated, ``first`` is the row order of the canonical sort.
+    topology = Topology.from_arrays(n, *edges[first].T, residual)
     try:
         out_mult = topology.out_multiplicity()[node]
     except ValueError as exc:
@@ -762,7 +817,7 @@ class BuildState:
         return peer
 
     def topology(self) -> Topology:
-        return Topology(self.n, dict(self.edges), self.residual)
+        return Topology(self.n, self.edges, self.residual)
 
 
 def build(

@@ -452,7 +452,7 @@ class ReferenceBuildState:
         return peer
 
     def topology(self) -> Topology:
-        return Topology(self.n, dict(self.edges), self.residual)
+        return Topology(self.n, self.edges, self.residual)
 
 
 class TierReferenceBuildState(ReferenceBuildState):

@@ -3,6 +3,7 @@
 import pickle
 import re
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -750,6 +751,77 @@ def test_topology_rejects_edge_ends_and_residuals_outside_the_nodes(edges, resid
     assert str(err.value) == message
 
 
+def test_edges_is_a_read_only_view_of_a_private_copy():
+    given = {(0, 1): 4}
+    t = Topology(2, given, [12, 0])
+    given[(0, 1)] = 1
+    with pytest.raises(TypeError):
+        t.edges[(0, 1)] = 7
+    assert t.edges == {(0, 1): 4}
+    assert t.edge_arrays()[2].tolist() == [4] and t.in_multiplicity().tolist() == [0, 4]
+    # A dict-built view keeps the order given; an array-built one is canonical.
+    given = {(1, 2): 1, (0, 2): 4, (0, 1): 3}
+    assert list(Topology(3, given, np.zeros(3)).edges.items()) == list(given.items())
+    assert list(Topology.from_arrays(3, [0, 0, 1], [1, 2, 2], [3, 4, 1], np.zeros(3)).edges.items()) == sorted(
+        given.items())
+
+
+def test_topology_pickles_with_its_edges_and_read_only_arrays(tmp_path):
+    for t in csv_cases():
+        t.to_csv(tmp_path / "edges.csv", tmp_path / "caps.csv")
+        for original in (t, read_topology_csv(tmp_path / "edges.csv", tmp_path / "caps.csv")[0]):
+            copy = pickle.loads(pickle.dumps(original))
+            assert list(copy.edges.items()) == list(original.edges.items())
+            assert np.array_equal(copy.residual_u, original.residual_u)
+            for a, b in zip(copy.edge_arrays(), original.edge_arrays()):
+                assert np.array_equal(a, b)
+            for a in (copy.residual_u, *copy.edge_arrays()):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+
+@pytest.mark.parametrize(
+    "up, down, mult, residual, message",
+    [
+        ([0, 0], [2, 1], [1, 1], np.zeros(3), "edge (0, 1) follows edge (0, 2); edges must be distinct "
+         "and sorted by (uploader, downloader)"),
+        ([1, 0], [0, 2], [1, 1], np.zeros(3), "edge (0, 2) follows edge (1, 0); edges must be distinct "
+         "and sorted by (uploader, downloader)"),
+        ([0, 1, 1], [1, 2, 2], [1, 1, 1], np.zeros(3), "edge (1, 2) follows edge (1, 2); edges must be "
+         "distinct and sorted by (uploader, downloader)"),
+        ([0, 1], [1, 2], [4, 0], np.zeros(3), "edge multiplicities must be positive, got 0"),
+        ([0, 1], [1, 2], [-2, 4], np.zeros(3), "edge multiplicities must be positive, got -2"),
+        ([0, 1], [1, 3], [4, 4], np.zeros(3), "edge (1, 3) has an end outside the nodes 0..2"),
+        ([-1, 0], [1, 2], [4, 4], np.zeros(3), "edge (-1, 1) has an end outside the nodes 0..2"),
+        ([0, 1], [1, 2], [4, 4], np.zeros(2), "residual_u has shape (2,), expected (3,)"),
+        ([0, 1], [1, 2], [4, 4], np.zeros((1, 3)), "residual_u has shape (1, 3), expected (3,)"),
+        ([[0, 1]], [[1, 2]], [[4, 4]], np.zeros(3), "edge arrays must be 1-D, got shape (1, 2)"),
+    ],
+)
+def test_from_arrays_rejects(up, down, mult, residual, message):
+    with pytest.raises(ValueError) as err:
+        Topology.from_arrays(3, up, down, mult, residual)
+    assert str(err.value) == message
+
+
+def test_from_arrays_of_the_edge_arrays_is_the_same_topology(tmp_path):
+    paths = [tmp_path / name for name in ("edges.csv", "caps.csv", "from_edges.csv", "from_caps.csv")]
+    for t in csv_cases():  # built and rewired GR, FCS, FDN and GDD topologies
+        arrays = [a.copy() for a in t.edge_arrays()]
+        residual = t.residual_u.copy()
+        got = Topology.from_arrays(t.n_nodes, *arrays, residual)
+        for a in (*arrays, residual):
+            a[0] += 1  # from_arrays keeps copies
+        assert got.edges == t.edges and list(got.edges) == sorted(t.edges)
+        assert np.array_equal(got.residual_u, t.residual_u)
+        for a, b in zip(got.edge_arrays(), t.edge_arrays()):
+            assert np.array_equal(a, b)
+        t.to_csv(*paths[:2])
+        got.to_csv(*paths[2:])
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert paths[1].read_bytes() == paths[3].read_bytes()
+
+
 def test_multiplicity_sums_are_exact():
     big = 2**53 + 1  # float64 rounds it to 2**53
     zeros = np.zeros(3, dtype=np.int64)
@@ -777,6 +849,55 @@ def test_read_topology_csv_rejects_non_positive_multiplicity(tmp_path, bad):
     assert str(exc.value) == (
         f"non-positive multiplicity {bad} for edge (2, 1) in {edges_path}, line 3"
     )
+
+
+def test_read_rows_parses_the_int64_extremes_exactly(tmp_path):
+    path = tmp_path / "caps.csv"
+    path.write_text("node,u,residual_u\n9223372036854775807,-9223372036854775808,0\n007,-0,-00\n")
+    table = topology._read_rows(path, "node,u,residual_u")
+    assert table.dtype == np.int64
+    assert table.tolist() == [[2**63 - 1, -(2**63), 0], [7, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "edge_rows, caps_rows, bad, field, line",
+    [
+        ("0,1,4\n0,2,9223372036854775808\n", "0,16,12\n1,4,4\n2,4,4\n", "edges",
+         "['0', '2', '9223372036854775808']", 3),
+        ("0,1,4\n", "0,16,12\n1,4,4\n2,-9223372036854775809,0\n", "caps",
+         "['2', '-9223372036854775809', '0']", 4),
+    ],
+)
+def test_read_topology_csv_names_the_line_of_a_field_outside_int64(tmp_path, edge_rows, caps_rows, bad, field, line):
+    paths = {"edges": tmp_path / "edges.csv", "caps": tmp_path / "caps.csv"}
+    paths["edges"].write_text("uploader,downloader,multiplicity\n" + edge_rows)
+    paths["caps"].write_text("node,u,residual_u\n" + caps_rows)
+    with pytest.raises(ValueError) as err:
+        read_topology_csv(paths["edges"], paths["caps"])
+    assert str(err.value) == f"a field of {field} is outside the int64 range in {paths[bad]}, line {line}"
+
+
+def test_read_topology_csv_reads_leading_zeros_and_minus_zero_as_the_reference_does(tmp_path):
+    edges, caps = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    edges.write_text("uploader,downloader,multiplicity\n-0,001,004\n000,2,4\n")
+    caps.write_text("node,u,residual_u\n-0,16,008\n1,04,4\n2,00,-0\n")
+    got, got_caps = read_topology_csv(edges, caps)
+    ref, ref_caps = reference_read_topology_csv(edges, caps)
+    assert got.edges == ref.edges == {(0, 1): 4, (0, 2): 4}
+    assert got.residual_u.tolist() == ref.residual_u.tolist() == [8, 4, 0]
+    assert got_caps.u.tolist() == ref_caps.u.tolist() == [16, 4, 0]
+
+
+@pytest.mark.parametrize("tail", ["\n", ""])
+def test_read_topology_csv_reads_a_header_only_edge_file_without_warnings(tmp_path, tail):
+    edges, caps = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    edges.write_text("uploader,downloader,multiplicity" + tail)
+    caps.write_text("node,u,residual_u\n0,16,16\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of an empty input
+        t, got_caps = read_topology_csv(edges, caps)
+    assert t.n_nodes == 1 and t.edges == {} and [a.tolist() for a in t.edge_arrays()] == [[], [], []]
+    assert t.residual_u.tolist() == [16] and got_caps.u.tolist() == [16]
 
 
 def csv_cases():
