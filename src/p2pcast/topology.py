@@ -252,12 +252,6 @@ class Topology:
         arrays.flags.writeable = False
         self._edge_arrays = tuple(arrays)
 
-    def __setstate__(self, state) -> None:
-        # Unpickled arrays come back writable.
-        self.__dict__.update(state)
-        for a in (self.residual_u, *self._edge_arrays):
-            a.flags.writeable = False
-
     @property
     def edges(self) -> MappingProxyType:
         """(uploader, downloader) -> multiplicity, a read-only view."""
@@ -325,10 +319,15 @@ def _read_rows(path, header: str) -> np.ndarray:
     if head != header:
         raise ValueError(f"unexpected header {head!r} in {path}, line 1; expected {header!r}")
     k = header.count(",") + 1
-    # The first line that is not a row (one lookahead per line keeps memory
-    # flat); the empty tail after a final newline is not a line.
-    miss = re.search(r"^(?!-?[0-9]+(?:,-?[0-9]+){%d}$)" % (k - 1), body, re.M)
-    if miss and (at := miss.start()) < len(body):
+    # The first line that is not a row of fields of at most 18 digits (one
+    # lookahead per line keeps memory flat; the empty tail after a final
+    # newline is not a line). Such fields lie inside int64, which loadtxt
+    # parses exactly; numpy 1.x loadtxt parses an integer that overflows it
+    # as a float and casts it, with no error. So from a row with a longer
+    # field on, fields may have any length, and Python ints parse the body.
+    short, unbounded = (_row_miss(k, digits) for digits in ("{1,18}", "+"))
+    exact = (miss := short.search(body)) and miss.start() < len(body)
+    if exact and (miss := unbounded.search(body, miss.start())) and (at := miss.start()) < len(body):
         line = body[at:].partition("\n")[0]
         fields = line.split(",") if line else []
         bad = [v for v in fields if not re.fullmatch("-?[0-9]+", v)]
@@ -337,14 +336,20 @@ def _read_rows(path, header: str) -> np.ndarray:
         raise ValueError(f"{reason} in {path}, line {len(body[:at].splitlines()) + 2}")
     if not body:  # loadtxt would warn of no data
         return np.empty((0, k), dtype=np.int64)
-    try:
+    if not exact:
         return np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
-    except ValueError:  # a field outside the int64 range: name its line
-        tokens = body.replace(",", " ").split()
-        table = np.array(list(map(int, tokens)), dtype=object).reshape(-1, k)
-        _reject(path, ((table < -(2**63)) | (table >= 2**63)).any(axis=1),
-                lambda r: f"a field of {tokens[r * k : r * k + k]} is outside the int64 range")
-        raise
+    tokens = body.replace(",", " ").split()
+    table = np.array(list(map(int, tokens)), dtype=object).reshape(-1, k)
+    _reject(path, ((table < -(2**63)) | (table >= 2**63)).any(axis=1),
+            lambda r: f"a field of {tokens[r * k : r * k + k]} is outside the int64 range")
+    return table.astype(np.int64)
+
+
+def _row_miss(k: int, digits: str) -> re.Pattern:
+    """Matches at the start of each line that is not ``k`` comma-separated,
+    optionally signed decimal fields of ``digits`` (a regex quantifier)."""
+    field = "-?[0-9]" + digits
+    return re.compile(r"^(?!%s(?:,%s){%d}$)" % (field, field, k - 1), re.M)
 
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
@@ -360,9 +365,11 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
     naming the file and line of the first row that breaks a rule.
 
     Each body is parsed by one ``np.loadtxt`` once one regular expression
-    has checked all of it. The edge rows, in any order in the file, become
-    the canonical arrays of :meth:`Topology.from_arrays`, with no dict in
-    between, so the returned ``edges`` run in canonical order.
+    has checked all of it; a body with a field of 19 or more digits, which
+    may leave int64, is parsed with Python ints instead. The edge rows, in
+    any order in the file, become the canonical arrays of
+    :meth:`Topology.from_arrays`, with no dict in between, so the returned
+    ``edges`` run in canonical order.
     """
     caps = _read_rows(caps_path, _CAPS_HEADER)
     node, u_rows, residual_rows = caps.T
