@@ -319,37 +319,29 @@ def _read_rows(path, header: str) -> np.ndarray:
     if head != header:
         raise ValueError(f"unexpected header {head!r} in {path}, line 1; expected {header!r}")
     k = header.count(",") + 1
-    # The first line that is not a row of fields of at most 18 digits (one
-    # lookahead per line keeps memory flat; the empty tail after a final
-    # newline is not a line). Such fields lie inside int64, which loadtxt
-    # parses exactly; numpy 1.x loadtxt parses an integer that overflows it
-    # as a float and casts it, with no error. So from a row with a longer
-    # field on, fields may have any length, and Python ints parse the body.
-    short, unbounded = (_row_miss(k, digits) for digits in ("{1,18}", "+"))
-    exact = (miss := short.search(body)) and miss.start() < len(body)
-    if exact and (miss := unbounded.search(body, miss.start())) and (at := miss.start()) < len(body):
-        line = body[at:].partition("\n")[0]
-        fields = line.split(",") if line else []
-        bad = [v for v in fields if not re.fullmatch("-?[0-9]+", v)]
-        reason = f"invalid literal for int() with base 10: {bad[0]!r}" if len(fields) == k else (
-            f"expected {k} fields, got {len(fields)}")
+    # Walk, in file order, each line that is not k fields of at most 18 digits
+    # (one lookahead per line keeps memory flat; the empty tail after a final
+    # newline is not a line). It is malformed, or a row with a longer field,
+    # which must still lie in int64: numpy 1.x loadtxt parses an integer that
+    # overflows it as a float and casts it, with no error. So loadtxt sees
+    # only int64 fields, which it parses exactly.
+    field = "-?[0-9]{1,18}"
+    for miss in re.finditer(r"^(?!%s(?:,%s){%d}$).*" % (field, field, k - 1), body, re.M):
+        if (at := miss.start()) == len(body):
+            break
+        fields = miss[0].split(",") if miss[0] else []
+        if len(fields) != k:
+            reason = f"expected {k} fields, got {len(fields)}"
+        elif bad := [v for v in fields if not re.fullmatch("-?[0-9]+", v)]:
+            reason = f"invalid literal for int() with base 10: {bad[0]!r}"
+        elif all(-(2**63) <= int(v) < 2**63 for v in fields):
+            continue
+        else:
+            reason = f"a field of {fields} is outside the int64 range"
         raise ValueError(f"{reason} in {path}, line {len(body[:at].splitlines()) + 2}")
     if not body:  # loadtxt would warn of no data
         return np.empty((0, k), dtype=np.int64)
-    if not exact:
-        return np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
-    tokens = body.replace(",", " ").split()
-    table = np.array(list(map(int, tokens)), dtype=object).reshape(-1, k)
-    _reject(path, ((table < -(2**63)) | (table >= 2**63)).any(axis=1),
-            lambda r: f"a field of {tokens[r * k : r * k + k]} is outside the int64 range")
-    return table.astype(np.int64)
-
-
-def _row_miss(k: int, digits: str) -> re.Pattern:
-    """Matches at the start of each line that is not ``k`` comma-separated,
-    optionally signed decimal fields of ``digits`` (a regex quantifier)."""
-    field = "-?[0-9]" + digits
-    return re.compile(r"^(?!%s(?:,%s){%d}$)" % (field, field, k - 1), re.M)
+    return np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
 
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
@@ -365,9 +357,9 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
     naming the file and line of the first row that breaks a rule.
 
     Each body is parsed by one ``np.loadtxt`` once one regular expression
-    has checked all of it; a body with a field of 19 or more digits, which
-    may leave int64, is parsed with Python ints instead. The edge rows, in
-    any order in the file, become the canonical arrays of
+    has checked all of it; each row with a field of 19 or more digits,
+    which may leave int64, is first range-checked with Python ints. The edge
+    rows, in any order in the file, become the canonical arrays of
     :meth:`Topology.from_arrays`, with no dict in between, so the returned
     ``edges`` run in canonical order.
     """

@@ -850,10 +850,11 @@ def test_read_topology_csv_rejects_non_positive_multiplicity(tmp_path, bad):
 
 def test_read_rows_parses_the_int64_extremes_exactly(tmp_path):
     path = tmp_path / "caps.csv"
-    path.write_text("node,u,residual_u\n9223372036854775807,-9223372036854775808,0\n007,-0,-00\n")
+    path.write_text("node,u,residual_u\n9223372036854775807,-9223372036854775808,0\n007,-0,-00\n"
+                    "0000000000000000004,-0009223372036854775808,00009223372036854775807\n")
     table = topology._read_rows(path, "node,u,residual_u")
     assert table.dtype == np.int64
-    assert table.tolist() == [[2**63 - 1, -(2**63), 0], [7, 0, 0]]
+    assert table.tolist() == [[2**63 - 1, -(2**63), 0], [7, 0, 0], [4, -(2**63), 2**63 - 1]]
 
 
 @pytest.mark.parametrize(
@@ -863,6 +864,8 @@ def test_read_rows_parses_the_int64_extremes_exactly(tmp_path):
          "['0', '2', '9223372036854775808']", 3),
         ("0,1,4\n", "0,16,12\n1,4,4\n2,-9223372036854775809,0\n", "caps",
          "['2', '-9223372036854775809', '0']", 4),
+        ("0,1,4\n", "0,16,12\n1,99999999999999999999,4\n2,4,4\n3,x,4\n", "caps",
+         "['1', '99999999999999999999', '4']", 3),
     ],
 )
 def test_read_topology_csv_names_the_line_of_a_field_outside_int64(tmp_path, edge_rows, caps_rows, bad, field, line):
@@ -905,7 +908,7 @@ def test_read_topology_csv_is_exact_where_loadtxt_casts_overflow_silently(tmp_pa
     assert len(calls) == 1  # the short capacity file went to loadtxt
     caps.write_text("node,u,residual_u\n0,9223372036854775807,-9223372036854775808\n1,0000000000000000004,4\n")
     assert topology._read_rows(caps, "node,u,residual_u").tolist() == [[0, 2**63 - 1, -(2**63)], [1, 4, 4]]
-    assert len(calls) == 1
+    assert len(calls) == 2  # range-checked, then parsed by loadtxt
 
 
 def test_read_topology_csv_reads_leading_zeros_and_minus_zero_as_the_reference_does(tmp_path):
