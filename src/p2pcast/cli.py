@@ -9,8 +9,9 @@ Subcommands:
 * ``distributions`` — write sample delay spaces as node,x,y CSVs.
 * ``demo`` — run a small built-in grid end to end and verify every cell.
 
-Exit 1 means an infeasible topology (from ``verify``, or built by a cell of
-``run`` or ``demo``) or a stuck ``demo`` cell; exit 2 means bad input. Every
+Exit 1 means an infeasible topology (from ``verify``), any fault inside a
+cell of ``run`` or ``demo`` (an infeasible built topology among them; the
+error names the cell) or a stuck ``demo`` cell; exit 2 means bad input. Every
 subcommand reports an error the same way: :func:`main` prints ``error: ...``
 and maps :class:`TopologyBuildError` to 1 and ``OSError``/``ValueError`` to 2.
 """
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TopologyBuildError as exc:  # a built topology failed verification
+    except TopologyBuildError as exc:  # a fault inside a cell, which it names
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -43,43 +43,24 @@ DEFAULT_P = 0.01
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Parameters of a delay-space distribution.
-
-    ``n`` is the total node count *including* the peercaster. ``d`` and ``p``
-    are only meaningful for the clustered kinds and must be left at None for
-    ``flat``.
-    """
+    """A delay-space distribution: its kind, its node count ``n``, *including*
+    the peercaster, and its seed. Each kind's box, step and new-cluster
+    probability are the fixed ``DEFAULT_D``, ``CLUSTER_STEP`` and
+    ``DEFAULT_P``."""
 
     kind: str
     n: int
     seed: int
-    D: float = DEFAULT_D
-    d: float | None = None
-    p: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
         if self.n < 1:
             raise ValueError("n must be at least 1 (the peercaster itself)")
-        if not self.D > 0:
-            raise ValueError("D must be positive")
-        if self.kind == FLAT:
-            if self.d is not None or self.p is not None:
-                raise ValueError("flat spaces take no cluster parameters d/p")
-        else:
-            d = self.d if self.d is not None else CLUSTER_STEP[self.kind]
-            p = self.p if self.p is not None else DEFAULT_P
-            if not 0 < d < self.D:
-                raise ValueError(f"cluster step d={d} must satisfy 0 < d < D={self.D}")
-            if not 0 < p <= 1:
-                raise ValueError(f"new-cluster probability p={p} must lie in (0, 1]")
-            object.__setattr__(self, "d", d)
-            object.__setattr__(self, "p", p)
 
     @classmethod
     def preset(cls, kind: str, n: int, seed: int) -> "DistributionSpec":
-        """The standard parameterisation of ``kind`` at size ``n``."""
+        """``DistributionSpec(kind, n, seed)``, under the name callers use."""
         return cls(kind=kind, n=n, seed=seed)
 
 
@@ -99,7 +80,7 @@ class DelaySpace:
     ``topology._widen``, and only where no square can overflow.
     """
 
-    def __init__(self, coords: np.ndarray, kind: str = FLAT, cluster_count: int | None = None):
+    def __init__(self, coords: np.ndarray, cluster_count: int | None = None):
         coords = np.array(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 1:
             raise ValueError("coords must be an (n, 2) array with n >= 1")
@@ -113,7 +94,6 @@ class DelaySpace:
         columns = coords.T.copy()
         columns.flags.writeable = False
         self._x, self._y = columns
-        self.kind = kind
         #: Number of clusters the generator produced (None for flat spaces).
         self.cluster_count = cluster_count
 
@@ -171,8 +151,10 @@ class DelaySpace:
                 f.write(f"{i},{x!r},{y!r}\n")
 
 
-def _generate_clustered(spec: DistributionSpec, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Run the clustered random walk; returns (coords in generation order, cluster count).
+def _generate_clustered(n: int, d: float, p: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Run the clustered random walk of ``n`` nodes with step ``d`` and
+    new-cluster probability ``p`` in the box of half-width ``DEFAULT_D``;
+    returns (coords in generation order, cluster count).
 
     The walk reads one stream of ``rng.random`` doubles: a cluster seed takes
     2, then each node takes 2 for its step and 1 for its new-cluster coin.
@@ -183,7 +165,6 @@ def _generate_clustered(spec: DistributionSpec, rng: np.random.Generator) -> tup
     the coordinates and the cluster count are those of drawing each value in
     turn.
     """
-    n, p = spec.n, spec.p
     u = rng.random(5 * n)  # enough for every node to seed its own cluster
     # hit[j]: the first stream position >= j, in steps of 3, whose draw is
     # below p. A cluster's coins sit 3 apart, so its first coin at or after
@@ -205,10 +186,10 @@ def _generate_clustered(spec: DistributionSpec, rng: np.random.Generator) -> tup
     starts = ends - sizes
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     step_at = 3 * np.arange(n) + 2 * (cluster + 1)
-    coords = -spec.d + (spec.d - -spec.d) * np.stack((u[step_at], u[step_at + 1]), axis=1)
+    coords = -d + (d - -d) * np.stack((u[step_at], u[step_at + 1]), axis=1)
     seed_at = step_at[starts] - 2
     # step + seed has the bits of seed + step: IEEE addition commutes.
-    coords[starts] += -spec.D + (spec.D - -spec.D) * np.stack((u[seed_at], u[seed_at + 1]), axis=1)
+    coords[starts] += -DEFAULT_D + (DEFAULT_D - -DEFAULT_D) * np.stack((u[seed_at], u[seed_at + 1]), axis=1)
     for a, b in zip(starts.tolist(), ends.tolist()):
         if b - a > 1:
             np.cumsum(coords[a:b], axis=0, out=coords[a:b])
@@ -223,9 +204,8 @@ def generate(spec: DistributionSpec) -> DelaySpace:
     """
     rng = make_rng(spec.seed, "delay_space", spec.kind, "coords")
     if spec.kind == FLAT:
-        coords = rng.uniform(-spec.D, spec.D, size=(spec.n, 2))
-        return DelaySpace(coords, kind=FLAT)
-    coords, n_clusters = _generate_clustered(spec, rng)
+        return DelaySpace(rng.uniform(-DEFAULT_D, DEFAULT_D, size=(spec.n, 2)))
+    coords, n_clusters = _generate_clustered(spec.n, CLUSTER_STEP[spec.kind], DEFAULT_P, rng)
     shuffle_rng = make_rng(spec.seed, "delay_space", spec.kind, "shuffle")
     perm = shuffle_rng.permutation(spec.n)
-    return DelaySpace(coords[perm], kind=spec.kind, cluster_count=n_clusters)
+    return DelaySpace(coords[perm], cluster_count=n_clusters)

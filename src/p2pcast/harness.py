@@ -224,20 +224,23 @@ def run_cell(
     policy: str, distribution: str, n: int, run: int, master_seed: int, sim: SimParams
 ) -> CellResult:
     """Generate, build, verify and measure a single cell. A stuck admission
-    gives a failed row; any other build error or a built topology that fails
-    verification is a program fault: :class:`TopologyBuildError` naming the cell."""
+    gives a failed row; any other fault in the build, verification or
+    metrics, a built topology that fails verification among them, is a
+    program fault: :class:`TopologyBuildError` naming the cell."""
     seed, space, caps, spec = cell_inputs(policy, distribution, n, run, master_seed, sim)
     cell = f"{policy}/{distribution}/n={n}/run={run}"
     try:
         topo = build(space, caps, spec, sim.m, seed)
+        feasible = verify_feasible(topo, caps, sim.m)
+        if not feasible.ok:
+            raise TopologyBuildError(f"built an infeasible topology: {feasible.message}")
+        report = compute_metrics(topo, space, sim.m)
     except AdmissionStuck:
         return CellResult(policy, distribution, n, run, seed, None, None, None, None, True)
     except TopologyBuildError as exc:
         raise TopologyBuildError(f"{cell}: {exc}") from exc
-    feasible = verify_feasible(topo, caps, sim.m)
-    if not feasible.ok:
-        raise TopologyBuildError(f"{cell}: built an infeasible topology: {feasible.message}")
-    report = compute_metrics(topo, space, sim.m)
+    except Exception as exc:
+        raise TopologyBuildError(f"{cell}: {type(exc).__name__}: {exc}") from exc
     return CellResult(
         policy, distribution, n, run, seed,
         report.min_delay_mean_s, report.tree_delay_mean_s,

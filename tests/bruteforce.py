@@ -218,19 +218,21 @@ def brute_diameter(coords):
     return best
 
 
-def reference_clustered(spec, rng):
-    """The clustered random walk drawn node by node, one ``Generator`` call
-    per value: returns (coords in generation order, cluster count)."""
-    coords = np.empty((spec.n, 2), dtype=np.float64)
+def reference_clustered(n, D, d, p, rng):
+    """The clustered random walk of ``n`` nodes in the box of half-width
+    ``D``, with step ``d`` and new-cluster probability ``p``, drawn node by
+    node, one ``Generator`` call per value: returns (coords in generation
+    order, cluster count)."""
+    coords = np.empty((n, 2), dtype=np.float64)
     n_clusters = 0
     pos = None
-    for i in range(spec.n):
+    for i in range(n):
         if pos is None:
-            pos = rng.uniform(-spec.D, spec.D, size=2)  # fresh cluster seed
+            pos = rng.uniform(-D, D, size=2)  # fresh cluster seed
             n_clusters += 1
-        pos = pos + rng.uniform(-spec.d, spec.d, size=2)  # walk accumulates
+        pos = pos + rng.uniform(-d, d, size=2)  # walk accumulates
         coords[i] = pos
-        if rng.random() < spec.p:
+        if rng.random() < p:
             pos = None
     return coords, n_clusters
 

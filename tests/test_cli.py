@@ -21,7 +21,7 @@ from p2pcast import harness
 from p2pcast.cli import main
 from p2pcast.harness import AGG_HEADER, RESULTS_HEADER, cell_seed
 from p2pcast.topology import AdmissionStuck
-from test_harness import drop_one_unit
+from test_harness import drop_one_unit, metrics_fault
 
 CONFIG = """\
 distributions=flat,tight
@@ -216,6 +216,13 @@ def test_infeasible_build_exits_1_naming_the_cell(config_file, tmp_path, capsys,
     assert captured.out == ""
 
 
+def test_a_fault_inside_a_cell_exits_1_naming_the_cell(config_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "compute_metrics", metrics_fault)
+    assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: GR/flat/n=8/run=0: ValueError: metrics fault\n")
+
+
 def test_aggregate_recomputes_from_raw(config_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(config_file), "--out", str(out)])
@@ -354,6 +361,12 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
             caps_text,
             f"a field of ['0', '1', '99999999999999999999'] is outside the int64 range "
             f"in {edges}, line 2",
+        ),
+        (
+            # Past Python's 4300-digit int() limit, still named by line.
+            "",
+            "node,u,residual_u\n0," + "1" * 5000 + ",0\n",
+            f"a field of {['0', '1' * 5000, '0']} is outside the int64 range in {sidecar}, line 2",
         ),
         (
             "0,1,9223372036854775807\n0,1,1\n",

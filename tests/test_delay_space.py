@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2pcast import DelaySpace, DistributionSpec, generate
-from p2pcast.delay_space import _generate_clustered
+from p2pcast.delay_space import CLUSTER_STEP, DEFAULT_D, DEFAULT_P, _generate_clustered
 from p2pcast.rng import make_rng
 
 from bruteforce import reference_clustered
@@ -71,11 +71,11 @@ def test_clustered_steps_accumulate():
     # (at most d per axis); across the whole walk positions drift beyond a
     # single step's reach, which distinguishes accumulation from re-perturbing
     # a fixed centre.
-    spec = DistributionSpec.preset("tight", 400, 5)
+    d = CLUSTER_STEP["tight"]
     rng = make_rng(5, "delay_space", "tight", "coords")
-    coords, n_clusters = _generate_clustered(spec, rng)
+    coords, n_clusters = _generate_clustered(400, d, DEFAULT_P, rng)
     deltas = np.abs(np.diff(coords, axis=0))
-    step_like = (deltas <= spec.d).all(axis=1)
+    step_like = (deltas <= d).all(axis=1)
     # All but the cluster boundaries look like single steps.
     assert step_like.sum() >= len(deltas) - n_clusters
     # Accumulated drift: some node sits further than one step from its
@@ -83,7 +83,7 @@ def test_clustered_steps_accumulate():
     # essentially certain under accumulation and impossible without it.
     first = coords[0]
     drift = np.abs(coords[1:] - first).max()
-    assert drift > 2 * spec.d
+    assert drift > 2 * d
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.01, 1e-9])
@@ -91,12 +91,13 @@ def test_clustered_steps_accumulate():
 def test_clustered_walk_matches_the_node_by_node_walk(kind, d, p):
     # The block-drawn walk against the walk that draws each value in turn:
     # same coordinate bits and cluster count, from the singleton clusters of
-    # p = 1 to the single cluster of p = 1e-9.
+    # p = 1 to the single cluster of p = 1e-9. A d of None is the kind's step.
+    d = CLUSTER_STEP[kind] if d is None else d
     for n in (1, 2, 3, 37, 500, 5000):
         for seed in (0, 1, 7):
-            spec = DistributionSpec(kind, n, seed, d=d, p=p)
-            coords, n_clusters = _generate_clustered(spec, make_rng(seed, "delay_space", kind, "coords"))
-            want, want_clusters = reference_clustered(spec, make_rng(seed, "delay_space", kind, "coords"))
+            coords, n_clusters = _generate_clustered(n, d, p, make_rng(seed, "delay_space", kind, "coords"))
+            want, want_clusters = reference_clustered(
+                n, DEFAULT_D, d, p, make_rng(seed, "delay_space", kind, "coords"))
             assert coords.tobytes() == want.tobytes(), (n, seed)
             assert n_clusters == want_clusters, (n, seed)
 
@@ -104,7 +105,7 @@ def test_clustered_walk_matches_the_node_by_node_walk(kind, d, p):
 def test_clustered_shuffle_preserves_multiset_and_breaks_runs():
     spec = DistributionSpec.preset("loose", 300, 8)
     rng = make_rng(8, "delay_space", "loose", "coords")
-    raw, _ = _generate_clustered(spec, rng)
+    raw, _ = _generate_clustered(300, CLUSTER_STEP["loose"], DEFAULT_P, rng)
     space = generate(spec)
     assert not np.array_equal(space.coords, raw)  # order randomised
     assert np.array_equal(
@@ -157,12 +158,6 @@ def test_spec_validation():
         DistributionSpec(kind="flat", n=0, seed=1)
     with pytest.raises(ValueError):
         DistributionSpec(kind="bumpy", n=10, seed=1)
-    with pytest.raises(ValueError):
-        DistributionSpec(kind="flat", n=10, seed=1, d=0.01)  # flat takes no d
-    with pytest.raises(ValueError):
-        DistributionSpec(kind="tight", n=10, seed=1, d=0.3)  # d must stay below D
-    with pytest.raises(ValueError):
-        DistributionSpec(kind="tight", n=10, seed=1, p=0.0)
     with pytest.raises(IndexError):
         generate(DistributionSpec.preset("flat", 5, 1)).delay(0, 5)
     with pytest.raises(IndexError):
@@ -175,12 +170,11 @@ def test_single_node_space_is_valid():
 
 
 def test_preset_parameters():
-    tight = DistributionSpec.preset("tight", 10, 0)
-    loose = DistributionSpec.preset("loose", 10, 0)
-    assert (tight.D, tight.d, tight.p) == (0.25, 0.005, 0.01)
-    assert (loose.D, loose.d, loose.p) == (0.25, 0.05, 0.01)
+    # A spec is its kind, size and seed; every kind shares the box and p.
+    assert DistributionSpec.preset("tight", 10, 0) == DistributionSpec("tight", 10, 0)
+    assert (DEFAULT_D, CLUSTER_STEP, DEFAULT_P) == (0.25, {"tight": 0.005, "loose": 0.05}, 0.01)
     # worst-case delay inside the box is its diagonal: sqrt(2)/2 seconds
-    assert math.hypot(2 * tight.D, 2 * tight.D) == pytest.approx(math.sqrt(2) / 2)
+    assert math.hypot(2 * DEFAULT_D, 2 * DEFAULT_D) == pytest.approx(math.sqrt(2) / 2)
 
 
 # ------------------------------------- differential: row-major delay layout

@@ -285,6 +285,26 @@ def test_a_failing_build_names_its_cell(monkeypatch, tmp_path):
         )
 
 
+def metrics_fault(*args, **kwargs):
+    """A stand-in for ``compute_metrics`` that fails as a metrics bug would."""
+    raise ValueError("metrics fault")
+
+
+def test_any_fault_inside_a_cell_names_its_cell(monkeypatch, tmp_path):
+    # A fault that is no TopologyBuildError, here in the metrics, names its
+    # cell and its type, serially and from a worker process, and chains it.
+    monkeypatch.setattr(harness, "compute_metrics", metrics_fault)
+    with pytest.raises(TopologyBuildError) as exc:
+        run_cell("GR", "flat", 12, 0, 42, SimParams())
+    assert str(exc.value) == "GR/flat/n=12/run=0: ValueError: metrics fault"
+    assert isinstance(exc.value.__cause__, ValueError)
+    policy, dist, n, run = next(iter(iter_cells(TINY)))
+    for parallel in (1, 2):
+        with pytest.raises(TopologyBuildError) as exc:
+            run_experiment(TINY, tmp_path / str(parallel), parallel=parallel)
+        assert str(exc.value) == f"{policy}/{dist}/n={n}/run={run}: ValueError: metrics fault"
+
+
 def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch, tmp_path):
     sizes = []
 

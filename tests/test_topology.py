@@ -759,11 +759,23 @@ def test_edges_is_a_read_only_view_of_a_private_copy():
         t.edges[(0, 1)] = 7
     assert t.edges == {(0, 1): 4}
     assert t.edge_arrays()[2].tolist() == [4] and t.in_multiplicity().tolist() == [0, 4]
-    # A dict-built view keeps the order given; an array-built one is canonical.
+    # Either constructor's view is in canonical order, whatever order was given.
     given = {(1, 2): 1, (0, 2): 4, (0, 1): 3}
-    assert list(Topology(3, given, np.zeros(3)).edges.items()) == list(given.items())
+    assert list(Topology(3, given, np.zeros(3)).edges.items()) == sorted(given.items())
     assert list(Topology.from_arrays(3, [0, 0, 1], [1, 2, 2], [3, 4, 1], np.zeros(3)).edges.items()) == sorted(
         given.items())
+
+
+def test_edges_run_in_one_canonical_order(tmp_path):
+    # Built, rewired and array-built topologies list their edges sorted by
+    # (uploader, downloader), as their CSV round trip reads them back.
+    paths = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    for t in csv_cases():
+        t.to_csv(*paths)
+        read = read_topology_csv(*paths)[0]
+        for got in (t, Topology.from_arrays(t.n_nodes, *t.edge_arrays(), t.residual_u), read):
+            assert list(got.edges) == sorted(got.edges)
+            assert list(got.edges.items()) == list(read.edges.items())
 
 
 def test_topology_pickles_with_its_edges(tmp_path):
@@ -851,10 +863,12 @@ def test_read_topology_csv_rejects_non_positive_multiplicity(tmp_path, bad):
 def test_read_rows_parses_the_int64_extremes_exactly(tmp_path):
     path = tmp_path / "caps.csv"
     path.write_text("node,u,residual_u\n9223372036854775807,-9223372036854775808,0\n007,-0,-00\n"
-                    "0000000000000000004,-0009223372036854775808,00009223372036854775807\n")
+                    "0000000000000000004,-0009223372036854775808,00009223372036854775807\n"
+                    # Zero padding past the 4300 digits Python's int() takes.
+                    + "0" * 5000 + "4,-" + "0" * 5000 + ",-" + "0" * 5000 + "9223372036854775808\n")
     table = topology._read_rows(path, "node,u,residual_u")
     assert table.dtype == np.int64
-    assert table.tolist() == [[2**63 - 1, -(2**63), 0], [7, 0, 0], [4, -(2**63), 2**63 - 1]]
+    assert table.tolist() == [[2**63 - 1, -(2**63), 0], [7, 0, 0], [4, -(2**63), 2**63 - 1], [4, 0, -(2**63)]]
 
 
 @pytest.mark.parametrize(
