@@ -4,16 +4,20 @@ Subcommands:
 
 * ``run`` — run an experiment grid from a config file.
 * ``aggregate`` — recompute aggregate rows from an existing raw results CSV.
-* ``verify`` — check a topology CSV (plus its capacity sidecar) for
-  feasibility and report the first violated requirement.
+* ``verify`` — check a topology, the edge and capacity files
+  ``Topology.to_csv`` writes, for feasibility and report the first violated
+  requirement.
 * ``distributions`` — write sample delay spaces as node,x,y CSVs.
 * ``demo`` — run a small built-in grid end to end and verify every cell.
 
 Exit 1 means an infeasible topology (from ``verify``), any fault inside a
 cell of ``run`` or ``demo`` (an infeasible built topology among them; the
 error names the cell) or a stuck ``demo`` cell; exit 2 means bad input. Every
-subcommand reports an error the same way: :func:`main` prints ``error: ...``
-and maps :class:`TopologyBuildError` to 1 and ``OSError``/``ValueError`` to 2.
+input file is read by one rule (:func:`~p2pcast.topology.read_ascii`), so a
+foreign byte in a config, ``results.csv`` or topology file is bad input named
+by its reader, not a decoding error. Every subcommand reports an error the
+same way: :func:`main` prints ``error: ...`` and maps
+:class:`TopologyBuildError` to 1 and ``OSError``/``ValueError`` to 2.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import time
 from . import harness
 from .delay_space import KINDS, DistributionSpec, generate
 from .metrics import verify_feasible
-from .topology import TopologyBuildError, read_topology_csv
+from .topology import TopologyBuildError, read_ascii, read_topology_csv
 
 
 def _progress(stream):
@@ -36,8 +40,8 @@ def _progress(stream):
     def report(result: harness.CellResult) -> None:
         status = "FAILED (admission stuck)" if result.failed else "ok"
         print(
-            f"[{next(count)}] {result.policy}/{result.distribution}/"
-            f"n={result.n}/run={result.run}: {status} ({time.perf_counter() - t0:.1f} s elapsed)",
+            f"[{next(count)}] {harness.cell_name(*result.key())}: {status} "
+            f"({time.perf_counter() - t0:.1f} s elapsed)",
             file=stream,
         )
 
@@ -52,8 +56,7 @@ def _sweep(config: harness.ExperimentConfig, args) -> list[harness.CellResult]:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as f:
-        mapping = harness.parse_config(f.read())
+    mapping = harness.parse_config(read_ascii(args.config))
     # An override replaces its config key, even when empty.
     for key in ("sizes", "policies"):
         if getattr(args, key) is not None:
@@ -107,7 +110,7 @@ def _cmd_demo(args) -> int:
     results = _sweep(harness.ExperimentConfig.demo_grid(args.seed), args)
     stuck = [r for r in results if r.failed]
     if stuck:
-        cells = "".join(f"\n  {r.policy}/{r.distribution}/n={r.n}/run={r.run}" for r in stuck)
+        cells = "".join(f"\n  {harness.cell_name(*r.key())}" for r in stuck)
         print(f"demo: {len(stuck)}/{len(results)} cells stuck in admission:{cells}", file=sys.stderr)
         return 1
     print(f"demo: all {len(results)} cells feasible; outputs in {args.out}")

@@ -6,12 +6,18 @@ configuration and the master seed; ``results.csv`` holds no wall time. Each
 built topology is verified before it is measured. Raw per-cell metrics stream
 into ``results.csv`` as they finish; completed cells are recognised on restart
 and skipped, which makes interrupted runs resumable and re-runs byte-identical.
+A resume or aggregation reads ``results.csv`` back in the form
+:meth:`CellResult.csv_row` writes and refuses, naming file and line, a row
+outside it or a cell recorded twice, so results are never silently mixed.
 ``manifest.json`` beside it records the settings every row depends on, so a
 resume under other settings is refused instead of reusing the old rows.
 Aggregation pools runs (and, for the headline rows, all distributions) into
 means with Student-t 95% confidence half-widths.
 
-Config files are flat ``key=value`` text::
+Every input file, config, ``results.csv`` and ``manifest.json``, is read as
+the topology files are (:func:`~p2pcast.topology.read_ascii`): ASCII with line
+ends as written, so a foreign byte fails the reader's own checks, not the
+decoding. Config files are flat ``key=value`` text::
 
     distributions=flat,tight,loose
     policies=FCS,GDN
@@ -26,10 +32,10 @@ command line (or the caller), not the config file.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import os
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +54,7 @@ from .topology import (
     SimParams,
     TopologyBuildError,
     build,
+    read_ascii,
 )
 
 RESULTS_HEADER = (
@@ -196,6 +203,11 @@ class CellResult:
         )
 
 
+def cell_name(policy: str, distribution: str, n: int, run: int) -> str:
+    """A cell as messages name it, such as ``GR/flat/n=10/run=0``."""
+    return f"{policy}/{distribution}/n={n}/run={run}"
+
+
 def cell_seed(master_seed: int, policy: str, distribution: str, n: int, run: int) -> int:
     """The derived seed that makes a cell reproducible in isolation."""
     return derive_seed(master_seed, "cell", policy, distribution, n, run)
@@ -228,7 +240,7 @@ def run_cell(
     metrics, a built topology that fails verification among them, is a
     program fault: :class:`TopologyBuildError` naming the cell."""
     seed, space, caps, spec = cell_inputs(policy, distribution, n, run, master_seed, sim)
-    cell = f"{policy}/{distribution}/n={n}/run={run}"
+    cell = cell_name(policy, distribution, n, run)
     try:
         topo = build(space, caps, spec, sim.m, seed)
         feasible = verify_feasible(topo, caps, sim.m)
@@ -252,43 +264,45 @@ def run_cell(
 def read_results_csv(path) -> list[CellResult]:
     """Parse a raw results file back into :class:`CellResult` rows.
 
+    Reads the file as :meth:`CellResult.csv_row` writes it: a header line,
+    then ``\n``-ended rows (the last ``\n`` may be missing), split on ``,``.
     Raises ValueError naming the file and line of any malformed row, such as
-    one with metrics not all finite with ``failed=0`` or not all blank with 1.
+    a blank one, one with a character ``csv_row`` never writes (a CR, a
+    quote, a foreign byte), one with metrics not all finite with
+    ``failed=0`` or not all blank with 1, or a cell an earlier row records.
     """
+    head, _, body = read_ascii(path).partition("\n")
+    columns = head.split(",")
+    if head != RESULTS_HEADER:
+        raise ValueError(f"unexpected results header in {path}: {columns}")
     out: list[CellResult] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != RESULTS_HEADER.split(","):
-            raise ValueError(f"unexpected results header in {path}: {reader.fieldnames}")
-        for r in reader:
-            try:
-                if None in r or None in r.values():
-                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                if r["failed"] not in ("0", "1"):
-                    raise ValueError(f"failed flag {r['failed']!r} is neither 0 nor 1")
-                if r["policy"] not in ALL_POLICY_CODES:
-                    raise ValueError(f"policy {r['policy']!r} is not one of {ALL_POLICY_CODES}")
-                if r["distribution"] not in KINDS:
-                    raise ValueError(f"distribution {r['distribution']!r} is not one of {KINDS}")
-                failed = r["failed"] == "1"
-                want = "blank" if failed else "a finite number"
-                for c in METRIC_COLUMNS:
-                    ok = r[c] == "" if failed else r[c] != "" and math.isfinite(float(r[c]))
-                    if not ok:
-                        raise ValueError(f"{c} {r[c]!r} is not {want} with failed={r['failed']}")
-                out.append(
-                    CellResult(
-                        policy=r["policy"],
-                        distribution=r["distribution"],
-                        n=int(r["n"]),
-                        run=int(r["run"]),
-                        seed=int(r["seed"]),
-                        **{c: None if failed else float(r[c]) for c in METRIC_COLUMNS},
-                        failed=failed,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"malformed row in {path}, line {reader.line_num}: {exc}") from None
+    recorded: dict[tuple[str, str, int, int], int] = {}
+    for line_num, line in enumerate(body.removesuffix("\n").split("\n") if body else [], start=2):
+        try:
+            # read_ascii's text for a foreign byte is named whole.
+            if bad := re.search(r"\\x[0-9a-f]{2}|[^A-Za-z0-9.,+-]", line):
+                raise ValueError(f"unexpected {bad[0]!r} at column {bad.start() + 1}")
+            if len(fields := line.split(",")) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields")
+            policy, distribution, n, run, seed, *metrics, flag = fields
+            if flag not in ("0", "1"):
+                raise ValueError(f"failed flag {flag!r} is neither 0 nor 1")
+            if policy not in ALL_POLICY_CODES:
+                raise ValueError(f"policy {policy!r} is not one of {ALL_POLICY_CODES}")
+            if distribution not in KINDS:
+                raise ValueError(f"distribution {distribution!r} is not one of {KINDS}")
+            failed = flag == "1"
+            want = "blank" if failed else "a finite number"
+            for c, v in zip(METRIC_COLUMNS, metrics):
+                if not (v == "" if failed else v != "" and math.isfinite(float(v))):
+                    raise ValueError(f"{c} {v!r} is not {want} with failed={flag}")
+            cell = CellResult(policy, distribution, int(n), int(run), int(seed),
+                              *(None if failed else float(v) for v in metrics), failed)
+            if (first := recorded.setdefault(cell.key(), line_num)) != line_num:
+                raise ValueError(f"cell {cell_name(*cell.key())} is already recorded on line {first}")
+        except ValueError as exc:
+            raise ValueError(f"malformed row in {path}, line {line_num}: {exc}") from None
+        out.append(cell)
     return out
 
 
@@ -326,11 +340,10 @@ def _manifest(config: ExperimentConfig) -> dict:
 def _check_manifest(path, want: dict) -> None:
     """Raise ValueError naming the first key whose value in the manifest at
     ``path`` differs from ``want``."""
-    with open(path, encoding="ascii") as f:
-        try:
-            got = json.load(f)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
+    try:
+        got = json.loads(read_ascii(path))
+    except ValueError as exc:  # malformed JSON, a foreign byte among it
+        raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
     if not isinstance(got, dict):
         raise ValueError(f"{path}: not a JSON manifest: expected an object")
     for key, value in want.items():
@@ -378,7 +391,7 @@ def run_experiment(
             expected = cell_seed(config.master_seed, *r.key())
             if r.seed != expected:
                 raise ValueError(
-                    f"{results_path}: cell {r.policy}/{r.distribution}/n={r.n}/run={r.run} "
+                    f"{results_path}: cell {cell_name(*r.key())} "
                     f"has seed {r.seed}, but master seed {config.master_seed} gives "
                     f"{expected}; resume with the same master seed or use a new output "
                     f"directory"

@@ -194,13 +194,11 @@ class PathTable:
         self.pred = pred
         self.m = m
         self.n_nodes = n
-        ul, dl, mult = topology.edge_arrays()
-        ends = np.concatenate([ul, dl])
+        ends = np.concatenate(topology.edge_arrays()[:2])
         lost = ends[(pred[ends] < 0) & (ends != 0)]
         if len(lost):
             raise ValueError(f"node {int(lost.min())} is unreachable from the peercaster")
-        peers = (ul != 0) & (dl != 0)
-        self.ul, self.dl, self.mult = ul[peers], dl[peers], mult[peers]
+        self.ul, self.dl, self.mult = _peer_edges(topology)
 
         child = np.flatnonzero(pred >= 0)
         tree = csr_matrix((np.ones(len(child)), (pred[child], child)), shape=(n, n))
@@ -342,12 +340,12 @@ def max_flow(topology: Topology, sink: int) -> int:
     return int(maximum_flow(_flow_graph(topology, cap), 0, sink).flow_value)
 
 
-def _peer_edges(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """(uploader, downloader) of the connections between two peers, in
-    canonical edge order."""
-    ul, dl, _ = topology.edge_arrays()
+def _peer_edges(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(uploader, downloader, multiplicity) of the connections between two
+    peers, in canonical edge order."""
+    ul, dl, mult = topology.edge_arrays()
     peers = (ul != 0) & (dl != 0)
-    return ul[peers], dl[peers]
+    return ul[peers], dl[peers], mult[peers]
 
 
 def _rooted(n: int, roots, ul, dl) -> csr_matrix:
@@ -435,7 +433,7 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
             f"requirement 2 violated: node {i} uploads {int(out_mult[i])} connections "
             f"but has capacity {int(caps.u[i])}",
         )
-    ul, dl = _peer_edges(topology)
+    ul, dl, _ = _peer_edges(topology)
     feedback = _feedback_peers(n, ul, dl)
     if not feedback:
         return FeasibilityReport(True)

@@ -293,14 +293,11 @@ class Topology:
         """Reconstruct u from residuals and realised uploads."""
         return self.residual_u + self.out_multiplicity()
 
-    def to_csv(self, edges_path, caps_path=None) -> None:
-        """Write the edges, one row each in canonical order, and, when
-        ``caps_path`` is given, a capacity sidecar with one row per node."""
-        files = [(edges_path, _EDGES_HEADER, self.edge_arrays())]
-        if caps_path is not None:
-            caps = (np.arange(self.n_nodes), self.upload_capacity(), self.residual_u)
-            files.append((caps_path, _CAPS_HEADER, caps))
-        for path, header, columns in files:
+    def to_csv(self, edges_path, caps_path) -> None:
+        """Write the edge and capacity files :func:`read_topology_csv` reads."""
+        caps = (np.arange(self.n_nodes), self.upload_capacity(), self.residual_u)
+        for path, header, columns in ((edges_path, _EDGES_HEADER, self.edge_arrays()),
+                                      (caps_path, _CAPS_HEADER, caps)):
             rows = map(",".join, zip(*(map(str, c.tolist()) for c in columns)))
             with open(path, "w", encoding="ascii", newline="\n") as f:
                 f.write("\n".join(chain([header], rows, [""])))
@@ -312,10 +309,23 @@ def _reject(path, bad: np.ndarray, reason) -> None:
         raise ValueError(f"{reason(rows[0])} in {path}, line {rows[0] + 2}")
 
 
+def read_ascii(path) -> str:
+    """The text of ``path`` as every reader takes it: ASCII with line ends as
+    written, a foreign byte as the text ``\\xNN``, which no reader takes as a
+    value."""
+    with open(path, encoding="ascii", errors="backslashreplace", newline="") as f:
+        return f.read()
+
+
+def _shown(field: str) -> str:
+    """``field`` as an error message shows it: its repr, or past 24
+    characters that of its first and last 8, then its length."""
+    return repr(field) if len(field) <= 24 else f"{field[:8] + '...' + field[-8:]!r} ({len(field)} characters)"
+
+
 def _read_rows(path, header: str) -> np.ndarray:
     """The int64 table of a file with ``header``; row r is on line r + 2."""
-    with open(path, encoding="ascii", errors="backslashreplace", newline="") as f:
-        head, _, body = f.read().partition("\n")
+    head, _, body = read_ascii(path).partition("\n")
     if head != header:
         raise ValueError(f"unexpected header {head!r} in {path}, line 1; expected {header!r}")
     k = header.count(",") + 1
@@ -333,14 +343,14 @@ def _read_rows(path, header: str) -> np.ndarray:
         if len(fields) != k:
             reason = f"expected {k} fields, got {len(fields)}"
         elif bad := [v for v in fields if not re.fullmatch("-?[0-9]+", v)]:
-            reason = f"invalid literal for int() with base 10: {bad[0]!r}"
+            reason = f"invalid literal for int() with base 10: {_shown(bad[0])}"
         # Past the sign and leading zeros, a field of more than 19 digits is
         # outside int64, so int() never sees more (Python refuses 4300).
         elif all(len(mag := v.lstrip("-").lstrip("0")) <= 19 and int(mag or 0) < 2**63 + (v[0] == "-")
                  for v in fields):
             continue
         else:
-            reason = f"a field of {fields} is outside the int64 range"
+            reason = f"a field of [{', '.join(map(_shown, fields))}] is outside the int64 range"
         raise ValueError(f"{reason} in {path}, line {len(body[:at].splitlines()) + 2}")
     if not body:  # loadtxt would warn of no data
         return np.empty((0, k), dtype=np.int64)
@@ -551,18 +561,16 @@ class BuildState:
     def done(self) -> bool:
         return self.n_connected == self.n
 
-    def _scan(
-        self, i: int, ids: np.ndarray, k: int
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """Peer i's exact scores of the entries of ``ids`` (at least ``k``
-        connected ids) that can be among its k lowest in any tie order, as
-        (kept positions, ascending, or None for all; kept ids; scores).
+    def _scan(self, i: int, k: int) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """Peer i's exact scores of the open entries (at least ``k``) that
+        can be among its k lowest in any tie order, as (kept open
+        positions, ascending, or None for all; kept ids; scores).
         Scans of at least ``_PRUNE_MIN`` entries keep each proxy score at
         most the k-th smallest proxy score widened twice: the k entries with
         the smallest proxies score at most one widening above it, so the
         k-th smallest exact score does too, and an entry scoring at most
         that has a proxy at most one widening more (:func:`_widen`)."""
-        near = None
+        ids, near = self.open_ids, None
         if len(ids) > k and len(ids) >= _PRUNE_MIN and self._proxy_ok:
             q = self.space.proxy_delays_from(i, ids)
             if self.policy.score == LEAST_DELAY:
@@ -624,7 +632,7 @@ class BuildState:
         chosen: list[int] = []
         left: dict[int, int] = {}  # open position -> units left this round
         if walked:
-            near, ids, score = self._scan(peer, open_ids, walked)
+            near, ids, score = self._scan(peer, walked)
             first = np.lexsort((ids, score))[:walked]
             top_ids, best = ids[first], score[first]
             if near is not None:
@@ -743,7 +751,7 @@ class BuildState:
         """Recompute peer i's best eligible uploader from scratch. The
         admission guard keeps F + M > 0 upload units available, so some
         connected uploader is always open."""
-        _, ids, score = self._scan(i, self.open_ids, 1)
+        _, ids, score = self._scan(i, 1)
         k = int(score.argmin())  # the first minimum: ties go to the earliest admitted
         self._best_score[i] = score[k]
         self._best_up[i] = int(ids[k])

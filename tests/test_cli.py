@@ -146,6 +146,56 @@ def test_run_reports_malformed_results_without_traceback(config_file, tmp_path, 
     assert "Traceback" not in err
 
 
+def reading_args(command, config_file, out):
+    """The arguments of ``command``, ``run`` (a resume) or ``aggregate``,
+    that read ``out/results.csv``."""
+    if command == "run":
+        return ["run", "--config", str(config_file), "--out", str(out)]
+    return ["aggregate", str(out / "results.csv")]
+
+
+@pytest.mark.parametrize("command", ["run", "aggregate"])
+def test_a_foreign_byte_in_results_is_named_by_file_and_line(config_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    path = out / "results.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"GR,", b"G\xffR,", 1)
+    path.write_bytes(b"\n".join(lines))
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert main(reading_args(command, config_file, out)) == 2
+    assert capsys.readouterr().err == f"error: malformed row in {path}, line 3: unexpected '\\\\xff' at column 2\n"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["run", "aggregate"])
+def test_a_repeated_cell_row_is_refused(config_file, tmp_path, capsys, command):
+    # A finished sweep with one row appended again: aggregating both copies
+    # would count that run twice.
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    path = out / "results.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[1:2]) + "\n")
+    before, agg = path.read_bytes(), (out / "agg.csv").read_bytes()
+    capsys.readouterr()
+    assert main(reading_args(command, config_file, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed row in {path}, line {len(lines) + 1}: "
+        f"cell GR/flat/n=8/run=0 is already recorded on line 2\n"
+    )
+    assert path.read_bytes() == before and (out / "agg.csv").read_bytes() == agg
+
+
+def test_run_names_a_foreign_byte_in_the_config(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_bytes(b"# caf\xe9 grid\ndistributions=flat\npolicies=GR\nsizes=10\nruns=1\xff\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: config key runs: expected an integer, got '1\\\\xff'\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("column, foreign", [(0, "gr"), (1, "Flat")])
 def test_run_refuses_to_resume_a_foreign_spelling(config_file, tmp_path, capsys, column, foreign):
     # A row as a run that did not canonicalise would have written it: the
@@ -366,7 +416,8 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
             # Past Python's 4300-digit int() limit, still named by line.
             "",
             "node,u,residual_u\n0," + "1" * 5000 + ",0\n",
-            f"a field of {['0', '1' * 5000, '0']} is outside the int64 range in {sidecar}, line 2",
+            f"a field of ['0', '11111111...11111111' (5000 characters), '0'] is outside the int64 range "
+            f"in {sidecar}, line 2",
         ),
         (
             "0,1,9223372036854775807\n0,1,1\n",

@@ -468,6 +468,63 @@ def test_read_results_csv_names_malformed_row(tmp_path):
             run_experiment(TINY, out)
 
 
+ROW = "GR,flat,10,0,123,0.1,0.2,0.3,0.4,0"
+
+
+def test_read_results_csv_refuses_crlf_at_its_header(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_bytes(f"{RESULTS_HEADER}\r\n{ROW}\r\n".encode())
+    with pytest.raises(ValueError) as exc:
+        read_results_csv(path)
+    assert str(exc.value) == f"unexpected results header in {path}: {(RESULTS_HEADER + chr(13)).split(',')}"
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        (f"{ROW}\n\n", "line 3: expected 10 fields"),
+        (f"\n{ROW}\n", "line 2: expected 10 fields"),
+        (f'{ROW}\n"GR",flat,10,1,123,0.1,0.2,0.3,0.4,0\n', "line 3: unexpected '\"' at column 1"),
+        (ROW.replace("0.2", "0.2\r") + "\n", "line 2: unexpected '\\r' at column 25"),
+        (ROW.replace(",10,", ", 10,") + "\n", "line 2: unexpected ' ' at column 9"),
+        (ROW.replace("0.3", "0.3\xff") + "\n", "line 2: unexpected '\\\\xff' at column 29"),
+        (ROW.replace("0.3", "0.3\\") + "\n", "line 2: unexpected '\\\\' at column 29"),
+        (ROW.replace(",10,", ",1_0,") + "\n", "line 2: unexpected '_' at column 10"),
+    ],
+    ids=["blank-last-line", "blank-line", "quoted-field", "cr", "space", "foreign-byte", "backslash", "underscore"],
+)
+def test_read_results_csv_refuses_what_csv_row_does_not_write(tmp_path, body, reason):
+    path = tmp_path / "results.csv"
+    path.write_bytes(f"{RESULTS_HEADER}\n{body}".encode("latin-1"))
+    with pytest.raises(ValueError) as exc:
+        read_results_csv(path)
+    assert str(exc.value) == f"malformed row in {path}, {reason}"
+
+
+@pytest.mark.parametrize("tail", ["\n", ""])
+def test_read_results_csv_reads_a_last_row_without_its_newline(tmp_path, tail):
+    path = tmp_path / "results.csv"
+    path.write_text(f"{RESULTS_HEADER}\n{ROW}\n{ROW.replace(',0,123,', ',1,124,')}{tail}")
+    assert [r.csv_row() for r in read_results_csv(path)] == [ROW, ROW.replace(",0,123,", ",1,124,")]
+    path.write_text(RESULTS_HEADER + tail)
+    assert read_results_csv(path) == []
+
+
+def test_read_results_csv_refuses_a_repeated_cell(tmp_path):
+    run_experiment(TINY, tmp_path)
+    path = tmp_path / "results.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + [lines[2]] + lines[4:]) + "\n")
+    p, d, n, run = lines[2].split(",")[:4]
+    message = f"malformed row in {path}, line 5: cell {p}/{d}/n={n}/run={run} is already recorded on line 3"
+    with pytest.raises(ValueError) as exc:
+        read_results_csv(path)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        run_experiment(TINY, tmp_path)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "cols, reason",
     [
