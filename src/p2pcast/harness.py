@@ -53,6 +53,7 @@ from .topology import (
     PolicySpec,
     SimParams,
     TopologyBuildError,
+    _shown,
     build,
     read_ascii,
 )
@@ -121,7 +122,7 @@ def parse_config(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"config line {lineno}: expected key=value, got {_shown(raw)}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in mapping:
@@ -134,10 +135,12 @@ _CONFIG_KEYS = {"distributions", "policies", "sizes", "runs", "M", "u0", "capaci
 
 
 def _config_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"config key {key}: expected an integer, got {text!r}") from None
+    """``text``, stripped, as an integer in the topology reader's digit
+    grammar: an optional ``-`` and ASCII digits, no ``+`` or ``_``."""
+    if re.fullmatch("-?[0-9]+", text.strip()):
+        with contextlib.suppress(ValueError):  # Python refuses past 4300 digits
+            return int(text)
+    raise ValueError(f"config key {key}: expected an integer, got {text!r}")
 
 
 def config_ints(key: str, text: str) -> tuple[int, ...]:
@@ -272,9 +275,9 @@ def read_results_csv(path) -> list[CellResult]:
     ``failed=0`` or not all blank with 1, or a cell an earlier row records.
     """
     head, _, body = read_ascii(path).partition("\n")
-    columns = head.split(",")
     if head != RESULTS_HEADER:
-        raise ValueError(f"unexpected results header in {path}: {columns}")
+        raise ValueError(f"unexpected results header in {path}: {_shown(head)}")
+    columns = head.split(",")
     out: list[CellResult] = []
     recorded: dict[tuple[str, str, int, int], int] = {}
     for line_num, line in enumerate(body.removesuffix("\n").split("\n") if body else [], start=2):

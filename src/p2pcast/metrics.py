@@ -41,7 +41,10 @@ pick out the cycle peers, and ``depth_first_order`` over them gives the
 heads of its back edges, the edges (v, w) whose head w is v or an ancestor
 of v by preorder rank and subtree size. A built (acyclic) topology needs no
 max-flow at all; a failing one scans, in id order, only the peers a failing
-feedback peer can reach.
+feedback peer can reach. Every flow is capped, at M or at the sink's
+incoming connections, so csgraph's Edmonds-Karp finds it in at most that
+many augmenting paths, one breadth-first search each (Edmonds & Karp 1972);
+Dinic's level graphs, csgraph's default, cost more at these small values.
 """
 
 from __future__ import annotations
@@ -333,11 +336,13 @@ def max_flow(topology: Topology, sink: int) -> int:
     multiplicities as edge capacities. No flow exceeds the sink's incoming
     connections, so capacities are clipped there, as :func:`verify_feasible`
     clips them at M; raises ValueError if that total exceeds 2**31 - 1, the
-    largest capacity of the int32 flow graph."""
+    largest capacity of the int32 flow graph. Edmonds-Karp finds the flow in
+    at most that many augmenting paths; a max-flow value is unique, so any
+    method gives the same number."""
     cap = int(topology.in_multiplicity()[sink])
     if cap > np.iinfo(np.int32).max:
         raise ValueError(f"node {sink} has {cap} incoming connections, beyond the int32 flow capacities")
-    return int(maximum_flow(_flow_graph(topology, cap), 0, sink).flow_value)
+    return int(maximum_flow(_flow_graph(topology, cap), 0, sink, method="edmonds_karp").flow_value)
 
 
 def _peer_edges(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,6 +408,12 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
     they hold a cycle, and its feedback peer r reaches v. S separates r from
     the peercaster, so r fails, and no feedback peer below r0 does.
 
+    Each flow runs on capacities clipped at ``m``, so its value is at most
+    ``m`` and Edmonds-Karp needs at most ``m`` augmenting paths, one
+    breadth-first search each, where Dinic, csgraph's default, also builds
+    a level graph per phase. The value is unique, so the report is the same
+    with either method.
+
     Stops at the first violation and reports which requirement failed; a
     requirement-3 failure names the lowest-id peer short of ``m`` paths.
     Raises ValueError for ``m`` below 1 or above 2**31 - 1, the largest
@@ -444,7 +455,7 @@ def verify_feasible(topology: Topology, caps: CapacityProfile, m: int) -> Feasib
 
     def flow_to(i: int) -> int:
         if i not in flows:
-            flows[i] = int(maximum_flow(graph, 0, i).flow_value)
+            flows[i] = int(maximum_flow(graph, 0, i, method="edmonds_karp").flow_value)
         return flows[i]
 
     first = next((k for k, r in enumerate(feedback) if flow_to(r) < m), None)

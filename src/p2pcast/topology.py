@@ -37,6 +37,7 @@ diverse/none/small-world grid.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import io
 import operator
 import re
@@ -324,11 +325,46 @@ def _shown(field: str) -> str:
 
 
 def _read_rows(path, header: str) -> np.ndarray:
-    """The int64 table of a file with ``header``; row r is on line r + 2."""
+    """The int64 table of a file with ``header``; row r is on line r + 2.
+
+    A body that passes :func:`_plain` and that ``np.loadtxt`` parses into
+    k columns is taken as parsed: inside that set ``loadtxt`` refuses an
+    empty field, a ``-`` that is not a leading sign and a ragged row, as the
+    grammar does, and every field fits int64. Any other body is walked by
+    :func:`_walk_rows`, the one source of grammar messages, and then parsed.
+    """
     head, _, body = read_ascii(path).partition("\n")
     if head != header:
-        raise ValueError(f"unexpected header {head!r} in {path}, line 1; expected {header!r}")
+        raise ValueError(f"unexpected header {_shown(head)} in {path}, line 1; expected {header!r}")
     k = header.count(",") + 1
+    if not body:  # loadtxt would warn of no data
+        return np.empty((0, k), dtype=np.int64)
+    parse = lambda: np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+    if _plain(body):
+        with contextlib.suppress(ValueError):
+            if (table := parse()).shape[1] == k:
+                return table
+    _walk_rows(path, body, k)
+    return parse()
+
+
+def _plain(body: str) -> bool:
+    """Whether ``body`` holds only digits, ``,``, ``-`` and ``\\n``, and
+    every field, split at both separators, is 1 to 18 characters long, sign
+    included, but the empty one after a final newline. So no line is blank
+    and no field leaves int64 (numpy 1.x ``loadtxt`` casts an overflow with
+    no error)."""
+    raw = body.encode("ascii")
+    if raw.translate(None, b"0123456789,-\n"):
+        return False
+    b = np.frombuffer(raw, dtype=np.uint8)
+    step = np.diff(np.flatnonzero((b == 44) | (b == 10)), prepend=-1, append=len(b))  # field length + 1
+    return step[:-1].min(initial=2) >= 2 and step.max() <= 19
+
+
+def _walk_rows(path, body: str, k: int) -> None:
+    """Raise ValueError at the first line of ``body`` that is not k
+    comma-separated signed decimal fields in the int64 range."""
     # Walk, in file order, each line that is not k fields of at most 18 digits
     # (one lookahead per line keeps memory flat; the empty tail after a final
     # newline is not a line). It is malformed, or a row with a longer field,
@@ -352,9 +388,6 @@ def _read_rows(path, header: str) -> np.ndarray:
         else:
             reason = f"a field of [{', '.join(map(_shown, fields))}] is outside the int64 range"
         raise ValueError(f"{reason} in {path}, line {len(body[:at].splitlines()) + 2}")
-    if not body:  # loadtxt would warn of no data
-        return np.empty((0, k), dtype=np.int64)
-    return np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
 
 
 def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]:
@@ -369,12 +402,17 @@ def read_topology_csv(edges_path, caps_path) -> tuple[Topology, CapacityProfile]
     them at most once, with a positive multiplicity. Raises ValueError
     naming the file and line of the first row that breaks a rule.
 
-    Each body is parsed by one ``np.loadtxt`` once one regular expression
-    has checked all of it; each row with a field of 19 or more digits,
-    which may leave int64, is first range-checked by its digit count and,
-    for at most 19 digits past the sign and leading zeros, a Python int. The
-    edge rows, in any order in the file, become the canonical arrays of
-    :meth:`Topology.from_arrays`, with no dict in between.
+    A body of only digits, ``,``, ``-`` and ``\\n``, with no blank line and
+    no field past 18 characters, is parsed by one ``np.loadtxt`` and one
+    pass over its bytes: there ``loadtxt`` refuses what the grammar refuses,
+    and every field fits int64. Any other body, or one ``loadtxt`` refuses,
+    is walked line by line with one regular expression, which names the
+    first bad line; each row with a field of 19 or more characters, which
+    may leave int64, is range-checked by its digit count and, for at most 19
+    digits past the sign and leading zeros, a Python int. Only then does
+    ``loadtxt`` parse it. The edge rows, in any order in the file, become
+    the canonical arrays of :meth:`Topology.from_arrays`, with no dict in
+    between.
     """
     caps = _read_rows(caps_path, _CAPS_HEADER)
     node, u_rows, residual_rows = caps.T

@@ -111,7 +111,8 @@ def test_run_rejects_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, bad",
     [("M", "abc", "abc"), ("u0", "", ""), ("runs", "two", "two"), ("sizes", "10,x", "x"),
-     ("capacities", "1,,5", "")],
+     ("capacities", "1,,5", ""), ("sizes", "1_0,+20", "1_0"), ("sizes", "10,+20", "+20"),
+     ("runs", "0_1", "0_1")],
 )
 def test_run_names_the_config_key_that_is_not_an_integer(tmp_path, capsys, key, value, bad):
     mapping = {"distributions": "flat", "policies": "GR", "sizes": "10", "runs": "1", key: value}
@@ -121,6 +122,42 @@ def test_run_names_the_config_key_that_is_not_an_integer(tmp_path, capsys, key, 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: config key {key}: expected an integer, got {bad!r}\n"
     assert not out.exists()
+
+
+def test_run_takes_only_signed_ascii_digits_for_a_sizes_override(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out), "--sizes", "1_0"]) == 2
+    assert capsys.readouterr().err == "error: config key sizes: expected an integer, got '1_0'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-edges", "verify-caps", "aggregate", "run"])
+def test_a_long_first_line_is_shown_by_its_ends(tmp_path, capsys, monkeypatch, command):
+    # A 3000-byte first line, no header and no key=value: the one error line
+    # shows its first and last 8 characters and its length.
+    monkeypatch.chdir(tmp_path)
+    long = "x" * 3000
+    shown = "'xxxxxxxx...xxxxxxxx' (3000 characters)"
+    Path("edges.csv").write_text("uploader,downloader,multiplicity\n0,1,4\n")
+    Path("caps.csv").write_text("node,u,residual_u\n0,16,12\n1,4,4\n")
+    if command == "run":
+        Path("grid.cfg").write_text(long + "\n")
+        args = ["run", "--config", "grid.cfg", "--out", "out"]
+        error = f"error: config line 1: expected key=value, got {shown}\n"
+    elif command == "aggregate":
+        Path("results.csv").write_text(long + "\n")
+        args = ["aggregate", "results.csv", "--out", "out"]
+        error = f"error: unexpected results header in results.csv: {shown}\n"
+    else:
+        name, header = {"verify-edges": ("edges.csv", "uploader,downloader,multiplicity"),
+                        "verify-caps": ("caps.csv", "node,u,residual_u")}[command]
+        Path(name).write_text(long + "\n0,1,4\n")
+        args = ["verify", "edges.csv", "caps.csv"]
+        error = f"error: unexpected header {shown} in {name}, line 1; expected {header!r}\n"
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error)
+    assert len(error.encode()) < 200
 
 
 @pytest.mark.parametrize("flag", ["--sizes", "--policies"])
@@ -344,6 +381,34 @@ def test_verify_flags_mutual_exchange_island(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "infeasible" in out and "requirement 3" in out
+
+
+#: Hand-written cyclic topologies for ``verify --m 2``: peers 1 and 2 feed
+#: each other (feasible); peers 2 and 3 feed each other and peer 1, with one
+#: unit from the peercaster into all three (peer 1, off the cycle, is short).
+CYCLIC = {
+    "swap": (b"uploader,downloader,multiplicity\n0,1,1\n0,2,1\n1,2,1\n2,1,1\n",
+             b"node,u,residual_u\n0,2,0\n1,1,0\n2,1,0\n"),
+    "island": (b"uploader,downloader,multiplicity\n0,2,1\n2,3,2\n3,1,2\n3,2,1\n",
+               b"node,u,residual_u\n0,4,3\n1,4,4\n2,4,2\n3,4,1\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, status, out",
+    [
+        ("swap", 0, "feasible: 3 nodes, M=2\n"),
+        ("island", 1, "infeasible: requirement 3 violated: only 1 edge-disjoint peercaster paths "
+                      "reach node 1, expected 2\n"),
+    ],
+    ids=["swap", "island"],
+)
+def test_verify_runs_max_flow_on_hand_written_cycles(tmp_path, capsys, name, status, out):
+    edges, caps = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    edges.write_bytes(CYCLIC[name][0])
+    caps.write_bytes(CYCLIC[name][1])
+    assert main(["verify", "--m", "2", str(edges), str(caps)]) == status
+    assert capsys.readouterr() == (out, "")
 
 
 def test_verify_rejects_negative_multiplicity(tmp_path, capsys):

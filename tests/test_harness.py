@@ -106,6 +106,20 @@ def test_config_mapping_validation():
         config_from_mapping(dict(base, runs="0"))
 
 
+def test_config_integers_take_the_topology_readers_digit_grammar():
+    base = parse_config(CONFIG_TEXT)
+    for key, value, bad in (("sizes", "1_0,+20", "1_0"), ("sizes", "10,+20", "+20"), ("runs", "0_1", "0_1"),
+                            ("M", "\u0664", "\u0664"), ("u0", "1" * 5000, "1" * 5000)):
+        with pytest.raises(ValueError) as exc:
+            config_from_mapping(dict(base, **{key: value}))
+        assert str(exc.value) == f"config key {key}: expected an integer, got {bad!r}"
+    # Spaces around a part are no part of the integer.
+    cfg = config_from_mapping(dict(base, capacities="1, 5, 10, 16", sizes=" 10 , 20"))
+    assert cfg.sim.capacity_choices == (1, 5, 10, 16) and cfg.sizes == (10, 20)
+    with pytest.raises(ValueError, match="M must be at least 1"):
+        config_from_mapping(dict(base, M="-4"))
+
+
 def test_config_overrides_and_case():
     mapping = parse_config(CONFIG_TEXT)
     cfg = config_from_mapping(dict(mapping, sizes="5,6", policies="GR"))
@@ -476,7 +490,7 @@ def test_read_results_csv_refuses_crlf_at_its_header(tmp_path):
     path.write_bytes(f"{RESULTS_HEADER}\r\n{ROW}\r\n".encode())
     with pytest.raises(ValueError) as exc:
         read_results_csv(path)
-    assert str(exc.value) == f"unexpected results header in {path}: {(RESULTS_HEADER + chr(13)).split(',')}"
+    assert str(exc.value) == f"unexpected results header in {path}: 'policy,d...,failed\\r' (101 characters)"
 
 
 @pytest.mark.parametrize(

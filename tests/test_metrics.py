@@ -659,9 +659,9 @@ def flow_sinks(monkeypatch):
     sinks: list[int] = []
     original = p2pcast.metrics.maximum_flow
 
-    def counting(graph, source, sink):
+    def counting(graph, source, sink, **kwargs):
         sinks.append(int(sink))
-        return original(graph, source, sink)
+        return original(graph, source, sink, **kwargs)
 
     monkeypatch.setattr(p2pcast.metrics, "maximum_flow", counting)
     return sinks

@@ -998,6 +998,11 @@ MUTATIONS = {
     "quotes": False, "blank line": False, "crlf": False, "bom": False, "non-utf-8": False,
     "underscore": False, "non-ascii digits": False, "duplicate row": False, "split row": False,
     "minus sign": None, "long value": None, "off by one": None,
+    # Forms of only digits, commas, minus signs and newlines: the reader's
+    # fast path must refuse those outside the grammar as the walk does.
+    "empty field": False, "trailing comma": False, "lone minus": False, "inner minus": False,
+    "double minus": False, "blank first line": False, "short rows": False,
+    "18 characters": True, "19 characters": True,
 }
 
 
@@ -1014,10 +1019,12 @@ def mutate(data: bytes, kind: str, rng) -> bytes:
         return data[:-1]
     if kind == "crlf":
         return data.replace(b"\n", b"\r\n")
+    if kind == "short rows":  # every row one field short, so none is ragged
+        return b"\n".join([lines[0], *(line.rpartition(b",")[0] for line in lines[1:-1]), b""])
     if kind == "bom":
         return b"\xef\xbb\xbf" + data
-    if kind in ("blank line", "duplicate row"):
-        lines.insert(r, b"" if kind == "blank line" else lines[r])
+    if kind in ("blank line", "duplicate row", "blank first line"):
+        lines.insert(1 if kind == "blank first line" else r, lines[r] if kind == "duplicate row" else b"")
         return b"\n".join(lines)
     if kind == "split row":  # the reference sums an edge's rows into one
         head = b",".join(fields[:-1])
@@ -1027,6 +1034,10 @@ def mutate(data: bytes, kind: str, rng) -> bytes:
         fields.append(b"0")
     elif kind == "missing field":
         fields.pop()
+    elif kind == "trailing comma":
+        fields.append(b"")
+    elif kind == "empty field":
+        fields[1] = b""
     elif kind == "off by one":
         fields[-1] = b"%d" % (int(fields[-1]) + int(rng.choice([-1, 1])))
     elif kind == "long value":
@@ -1042,6 +1053,11 @@ def mutate(data: bytes, kind: str, rng) -> bytes:
             "non-utf-8": fields[f] + b"\xff",
             "underscore": sign + digits[:1] + b"_" + digits[1:] + b"0",
             "non-ascii digits": digits.decode().translate({48 + d: 0x660 + d for d in range(10)}).encode(),
+            "lone minus": b"-",
+            "inner minus": digits + b"-" + digits,
+            "double minus": b"--" + digits,
+            "18 characters": sign + digits.zfill(18 - len(sign)),  # zero padding, sign included
+            "19 characters": sign + digits.zfill(19 - len(sign)),
         }[kind]
     lines[r] = b",".join(fields)
     return b"\n".join(lines)
@@ -1083,9 +1099,32 @@ def test_read_topology_csv_is_the_reference_reader_narrowed(tmp_path):
                     assert any(str(p) in str(got) for p in named), case
                 seen[kind, isinstance(got, ValueError), isinstance(ref, ValueError)] += 1
     # Each form outside the grammar comes up in some file the reference accepts.
-    for kind in ("spaces", "quotes", "plus sign", "underscore", "blank line", "crlf", "non-ascii digits", "split row"):
+    for kind in ("spaces", "quotes", "plus sign", "underscore", "blank line", "blank first line", "crlf",
+                 "non-ascii digits", "split row"):
         assert seen[kind, True, False], (kind, seen)
     assert seen["minus sign", False, False] and seen["long value", True, True], seen
+
+
+def test_read_topology_csv_takes_what_to_csv_writes_without_the_walk(tmp_path, monkeypatch):
+    # The line-by-line grammar walk is the slow path: a file to_csv wrote,
+    # or one whose fields are zero-padded to 18 characters, never reaches it.
+    def walk(path, body, k):
+        raise AssertionError(f"{path} was walked")
+
+    monkeypatch.setattr(topology, "_walk_rows", walk)
+    edges, caps = tmp_path / "edges.csv", tmp_path / "caps.csv"
+    for t in csv_cases():
+        t.to_csv(edges, caps)
+        got, got_caps = read_topology_csv(edges, caps)
+        assert got.edges == t.edges and np.array_equal(got.residual_u, t.residual_u)
+        assert np.array_equal(got_caps.u, t.upload_capacity())
+    edges.write_text("uploader,downloader,multiplicity\n000000000000000000,000000000000000001,4")
+    caps.write_text("node,u,residual_u\n-00000000000000000,000000000000000016,000000000000000012\n1,4,4\n")
+    assert read_topology_csv(edges, caps)[0].edges == {(0, 1): 4}
+    # A 19-character field may leave int64, so only the walk may pass it.
+    caps.write_text("node,u,residual_u\n0,0000000000000000016,12\n1,4,4\n")
+    with pytest.raises(AssertionError, match="was walked"):
+        read_topology_csv(edges, caps)
 
 
 def test_build_validation_errors():
