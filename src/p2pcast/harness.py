@@ -25,8 +25,9 @@ decoding. Config files are flat ``key=value`` text::
     runs=3
 
 plus the optional ``M``, ``u0`` and ``capacities``, which default to
-:class:`SimParams`'s. The master seed and output directory come from the
-command line (or the caller), not the config file.
+:class:`SimParams`'s. A list has no empty entries: in ``sizes=10,`` the
+second entry, ``''``, is not an integer. The master seed and output
+directory come from the command line (or the caller), not the config file.
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ def _config_int(key: str, text: str) -> int:
 
 
 def config_ints(key: str, text: str) -> tuple[int, ...]:
-    """The comma-separated integers of config key ``key``, skipping empty parts."""
-    return tuple(_config_int(key, part.strip()) for part in text.split(",") if part.strip())
+    """The comma-separated integers of config key ``key``; an empty part is
+    not an integer."""
+    return tuple(_config_int(key, part.strip()) for part in text.split(","))
 
 
 def config_from_mapping(mapping: dict[str, str], master_seed: int = 0) -> ExperimentConfig:
@@ -158,14 +160,12 @@ def config_from_mapping(mapping: dict[str, str], master_seed: int = 0) -> Experi
         raise ValueError(f"config is missing required keys: {sorted(missing)}")
 
     def _csv_list(key: str) -> tuple[str, ...]:
-        return tuple(part.strip() for part in mapping[key].split(",") if part.strip())
+        return tuple(part.strip() for part in mapping[key].split(","))
 
     # Only the keys present: SimParams supplies the rest.
     sim = {f: _config_int(k, mapping[k]) for k, f in (("M", "m"), ("u0", "u0")) if k in mapping}
     if "capacities" in mapping:
-        sim["capacity_choices"] = tuple(
-            _config_int("capacities", c) for c in mapping["capacities"].split(",")
-        )
+        sim["capacity_choices"] = config_ints("capacities", mapping["capacities"])
     return ExperimentConfig(
         distributions=_csv_list("distributions"),
         policies=_csv_list("policies"),
@@ -272,7 +272,9 @@ def read_results_csv(path) -> list[CellResult]:
     Raises ValueError naming the file and line of any malformed row, such as
     a blank one, one with a character ``csv_row`` never writes (a CR, a
     quote, a foreign byte), one with metrics not all finite with
-    ``failed=0`` or not all blank with 1, or a cell an earlier row records.
+    ``failed=0`` or not all blank with 1, one whose values ``csv_row``
+    would spell otherwise (``+08``, ``011``, ``-0``, ``0.10``), or a cell an
+    earlier row records.
     """
     head, _, body = read_ascii(path).partition("\n")
     if head != RESULTS_HEADER:
@@ -301,6 +303,9 @@ def read_results_csv(path) -> list[CellResult]:
                     raise ValueError(f"{c} {v!r} is not {want} with failed={flag}")
             cell = CellResult(policy, distribution, int(n), int(run), int(seed),
                               *(None if failed else float(v) for v in metrics), failed)
+            if (row := cell.csv_row()) != line:
+                c, got, want = next(d for d in zip(columns, fields, row.split(",")) if d[1] != d[2])
+                raise ValueError(f"{c} {_shown(got)} is not {_shown(want)}, as csv_row writes it")
             if (first := recorded.setdefault(cell.key(), line_num)) != line_num:
                 raise ValueError(f"cell {cell_name(*cell.key())} is already recorded on line {first}")
         except ValueError as exc:

@@ -112,7 +112,7 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     "key, value, bad",
     [("M", "abc", "abc"), ("u0", "", ""), ("runs", "two", "two"), ("sizes", "10,x", "x"),
      ("capacities", "1,,5", ""), ("sizes", "1_0,+20", "1_0"), ("sizes", "10,+20", "+20"),
-     ("runs", "0_1", "0_1")],
+     ("runs", "0_1", "0_1"), ("sizes", "10,,20", ""), ("sizes", "10,", "")],
 )
 def test_run_names_the_config_key_that_is_not_an_integer(tmp_path, capsys, key, value, bad):
     mapping = {"distributions": "flat", "policies": "GR", "sizes": "10", "runs": "1", key: value}
@@ -121,6 +121,21 @@ def test_run_names_the_config_key_that_is_not_an_integer(tmp_path, capsys, key, 
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: config key {key}: expected an integer, got {bad!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("policies", "GR,", f"unknown policy code ''; expected one of {harness.ALL_POLICY_CODES}"),
+     ("distributions", "flat,", f"unknown distribution ''; expected one of {harness.KINDS}")],
+)
+def test_run_refuses_an_empty_list_entry(tmp_path, capsys, key, value, error):
+    mapping = {"distributions": "flat", "policies": "GR", "sizes": "10", "runs": "1", key: value}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in mapping.items()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -160,12 +175,16 @@ def test_a_long_first_line_is_shown_by_its_ends(tmp_path, capsys, monkeypatch, c
     assert len(error.encode()) < 200
 
 
-@pytest.mark.parametrize("flag", ["--sizes", "--policies"])
-def test_run_rejects_an_empty_override(config_file, tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, error",
+    [("--sizes", "config key sizes: expected an integer, got ''"),
+     ("--policies", f"unknown policy code ''; expected one of {harness.ALL_POLICY_CODES}")],
+    ids=["--sizes", "--policies"],
+)
+def test_run_rejects_an_empty_override(config_file, tmp_path, capsys, flag, error):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file), "--out", str(out), flag, ""]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: distributions, policies and sizes must all be non-empty\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -209,20 +228,24 @@ def test_a_foreign_byte_in_results_is_named_by_file_and_line(config_file, tmp_pa
 @pytest.mark.parametrize("command", ["run", "aggregate"])
 def test_a_repeated_cell_row_is_refused(config_file, tmp_path, capsys, command):
     # A finished sweep with one row appended again: aggregating both copies
-    # would count that run twice.
+    # would count that run twice. aggregate also gets an --out it has not
+    # made yet, which it must not make for a refused file.
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
     path = out / "results.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + lines[1:2]) + "\n")
     before, agg = path.read_bytes(), (out / "agg.csv").read_bytes()
+    fresh = tmp_path / "fresh"
+    args = reading_args(command, config_file, out) + (["--out", str(fresh)] if command == "aggregate" else [])
     capsys.readouterr()
-    assert main(reading_args(command, config_file, out)) == 2
+    assert main(args) == 2
     assert capsys.readouterr().err == (
         f"error: malformed row in {path}, line {len(lines) + 1}: "
         f"cell GR/flat/n=8/run=0 is already recorded on line 2\n"
     )
     assert path.read_bytes() == before and (out / "agg.csv").read_bytes() == agg
+    assert not fresh.exists()
 
 
 def test_run_names_a_foreign_byte_in_the_config(tmp_path, capsys):
@@ -476,6 +499,13 @@ def test_verify_reports_io_and_format_errors(tmp_path, capsys):
             caps_text,
             f"a field of ['0', '1', '99999999999999999999'] is outside the int64 range "
             f"in {edges}, line 2",
+        ),
+        (
+            # 2**63, one past the int64 maximum.
+            "0,1,4\n0,2,9223372036854775808\n",
+            "node,u,residual_u\n0,16,8\n1,4,4\n2,4,4\n",
+            f"a field of ['0', '2', '9223372036854775808'] is outside the int64 range "
+            f"in {edges}, line 3",
         ),
         (
             # Past Python's 4300-digit int() limit, still named by line.

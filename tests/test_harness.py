@@ -104,6 +104,9 @@ def test_config_mapping_validation():
         config_from_mapping(dict(base, sizes="10,10"))
     with pytest.raises(ValueError, match="at least 1"):
         config_from_mapping(dict(base, runs="0"))
+    # No config text gives an empty list; a caller building one directly can.
+    with pytest.raises(ValueError, match="must all be non-empty"):
+        ExperimentConfig(distributions=("flat",), policies=("GR",), sizes=(), runs=1)
 
 
 def test_config_integers_take_the_topology_readers_digit_grammar():
@@ -504,8 +507,13 @@ def test_read_results_csv_refuses_crlf_at_its_header(tmp_path):
         (ROW.replace("0.3", "0.3\xff") + "\n", "line 2: unexpected '\\\\xff' at column 29"),
         (ROW.replace("0.3", "0.3\\") + "\n", "line 2: unexpected '\\\\' at column 29"),
         (ROW.replace(",10,", ",1_0,") + "\n", "line 2: unexpected '_' at column 10"),
+        (ROW.replace(",10,", ",+010,") + "\n", "line 2: n '+010' is not '10', as csv_row writes it"),
+        (ROW.replace(",123,", ",0123,") + "\n", "line 2: seed '0123' is not '123', as csv_row writes it"),
+        (ROW.replace(",0,123,", ",-0,123,") + "\n", "line 2: run '-0' is not '0', as csv_row writes it"),
+        (ROW.replace(",0.1,", ",0.10,") + "\n", "line 2: min_delay_mean_s '0.10' is not '0.1', as csv_row writes it"),
     ],
-    ids=["blank-last-line", "blank-line", "quoted-field", "cr", "space", "foreign-byte", "backslash", "underscore"],
+    ids=["blank-last-line", "blank-line", "quoted-field", "cr", "space", "foreign-byte", "backslash", "underscore",
+         "signed-padded-n", "padded-seed", "minus-zero-run", "padded-metric"],
 )
 def test_read_results_csv_refuses_what_csv_row_does_not_write(tmp_path, body, reason):
     path = tmp_path / "results.csv"
